@@ -69,6 +69,94 @@ void BM_BroadcastAdd(benchmark::State& state) {
 }
 BENCHMARK(BM_BroadcastAdd);
 
+// --- The ConvNet's own kernel shapes (width 16, 12x12 images, batch m):
+// --- the broadcasts, reductions, transposes and unfolds autograd runs on
+// --- every forward/backward of the distillation loop.
+
+void BM_InstanceNormSub(benchmark::State& state) {
+  const auto m = state.range(0);
+  qd::Rng rng(1);
+  const auto x = qd::Tensor::randn({m, 16, 12, 12}, rng);
+  const auto mean = qd::Tensor::randn({m, 16, 1, 1}, rng);
+  for (auto _ : state) benchmark::DoNotOptimize(k::sub(x, mean));
+  state.SetItemsProcessed(state.iterations() * x.numel());
+}
+BENCHMARK(BM_InstanceNormSub)->Arg(32);
+
+void BM_InstanceNormMul(benchmark::State& state) {
+  const auto m = state.range(0);
+  qd::Rng rng(1);
+  const auto x = qd::Tensor::randn({m, 16, 12, 12}, rng);
+  const auto inv_std = qd::Tensor::randn({m, 16, 1, 1}, rng);
+  for (auto _ : state) benchmark::DoNotOptimize(k::mul(x, inv_std));
+  state.SetItemsProcessed(state.iterations() * x.numel());
+}
+BENCHMARK(BM_InstanceNormMul)->Arg(32);
+
+void BM_InstanceNormReduce(benchmark::State& state) {
+  const auto m = state.range(0);
+  qd::Rng rng(1);
+  const auto x = qd::Tensor::randn({m, 16, 12, 12}, rng);
+  for (auto _ : state) benchmark::DoNotOptimize(k::reduce_sum_to(x, {m, 16, 1, 1}));
+  state.SetItemsProcessed(state.iterations() * x.numel());
+}
+BENCHMARK(BM_InstanceNormReduce)->Arg(32);
+
+void BM_AvgPoolReduce(benchmark::State& state) {
+  const auto m = state.range(0);
+  qd::Rng rng(1);
+  const auto x = qd::Tensor::randn({m, 16, 6, 2, 6, 2}, rng);
+  for (auto _ : state) benchmark::DoNotOptimize(k::reduce_sum_to(x, {m, 16, 6, 1, 6, 1}));
+  state.SetItemsProcessed(state.iterations() * x.numel());
+}
+BENCHMARK(BM_AvgPoolReduce)->Arg(32);
+
+void BM_AvgPoolBroadcast(benchmark::State& state) {
+  // The AvgPool reduction's adjoint, run by every backward pass.
+  const auto m = state.range(0);
+  qd::Rng rng(1);
+  const auto g = qd::Tensor::randn({m, 16, 6, 1, 6, 1}, rng);
+  for (auto _ : state) benchmark::DoNotOptimize(k::broadcast_to(g, {m, 16, 6, 2, 6, 2}));
+  state.SetItemsProcessed(state.iterations() * g.numel() * 4);
+}
+BENCHMARK(BM_AvgPoolBroadcast)->Arg(32);
+
+void BM_ConvBiasReduce(benchmark::State& state) {
+  const auto m = state.range(0);
+  qd::Rng rng(1);
+  const auto x = qd::Tensor::randn({m, 16, 12, 12}, rng);
+  for (auto _ : state) benchmark::DoNotOptimize(k::reduce_sum_to(x, {1, 16, 1, 1}));
+  state.SetItemsProcessed(state.iterations() * x.numel());
+}
+BENCHMARK(BM_ConvBiasReduce)->Arg(32);
+
+void BM_TransposeCols(benchmark::State& state) {
+  const auto m = state.range(0);
+  qd::Rng rng(1);
+  const auto cols = qd::Tensor::randn({27, m * 144}, rng);
+  for (auto _ : state) benchmark::DoNotOptimize(k::transpose2d(cols));
+  state.SetItemsProcessed(state.iterations() * cols.numel());
+}
+BENCHMARK(BM_TransposeCols)->Arg(32);
+
+void BM_Im2ColConvNet(benchmark::State& state) {
+  const auto m = state.range(0);
+  qd::Rng rng(1);
+  const auto x = qd::Tensor::randn({m, 3, 12, 12}, rng);
+  for (auto _ : state) benchmark::DoNotOptimize(k::im2col(x, 3, 1, 1));
+  state.SetItemsProcessed(state.iterations() * 27 * m * 144);
+}
+BENCHMARK(BM_Im2ColConvNet)->Arg(32);
+
+void BM_Col2ImConvNet(benchmark::State& state) {
+  const auto m = state.range(0);
+  qd::Rng rng(1);
+  const auto cols = qd::Tensor::randn({27, m * 144}, rng);
+  for (auto _ : state) benchmark::DoNotOptimize(k::col2im(cols, {m, 3, 12, 12}, 3, 1, 1));
+  state.SetItemsProcessed(state.iterations() * cols.numel());
+}
+BENCHMARK(BM_Col2ImConvNet)->Arg(32);
+
 qd::nn::ConvNetConfig bench_net() {
   qd::nn::ConvNetConfig cfg;
   cfg.in_channels = 3;

@@ -216,7 +216,7 @@ ModelState subtract(const ModelState& a, const ModelState& b) {
   ThreadPool::global().parallel_for(
       // qdlint: shared-write(each chunk writes its own disjoint od[lo,hi) slice)
       0, out.numel(), grain_for(2), [&](std::int64_t lo, std::int64_t hi) {
-        k.subtract(od.data() + lo, ad.data() + lo, bd.data() + lo, hi - lo);
+        k.binary[simd::kSub](od.data() + lo, ad.data() + lo, bd.data() + lo, hi - lo);
       });
   return out;
 }

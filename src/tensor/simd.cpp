@@ -36,15 +36,69 @@ void scale_scalar(float* y, float a, std::int64_t n) {
   for (; i < n; ++i) y[i] *= a;
 }
 
-void subtract_scalar(float* o, const float* a, const float* b, std::int64_t n) {
+// The four binary operators, spelled once; every binary run below applies
+// exactly `apply(x, y)` per element.
+struct AddOp {
+  static float apply(float x, float y) { return x + y; }
+};
+struct SubOp {
+  static float apply(float x, float y) { return x - y; }
+};
+struct MulOp {
+  static float apply(float x, float y) { return x * y; }
+};
+struct DivOp {
+  static float apply(float x, float y) { return x / y; }
+};
+
+template <typename Op>
+void binary_scalar(float* o, const float* a, const float* b, std::int64_t n) {
   std::int64_t i = 0;
   for (; i + 4 <= n; i += 4) {
-    o[i] = a[i] - b[i];
-    o[i + 1] = a[i + 1] - b[i + 1];
-    o[i + 2] = a[i + 2] - b[i + 2];
-    o[i + 3] = a[i + 3] - b[i + 3];
+    o[i] = Op::apply(a[i], b[i]);
+    o[i + 1] = Op::apply(a[i + 1], b[i + 1]);
+    o[i + 2] = Op::apply(a[i + 2], b[i + 2]);
+    o[i + 3] = Op::apply(a[i + 3], b[i + 3]);
   }
-  for (; i < n; ++i) o[i] = a[i] - b[i];
+  for (; i < n; ++i) o[i] = Op::apply(a[i], b[i]);
+}
+
+template <typename Op>
+void binary_rs_scalar(float* o, const float* a, float b, std::int64_t n) {
+  std::int64_t i = 0;
+  for (; i + 4 <= n; i += 4) {
+    o[i] = Op::apply(a[i], b);
+    o[i + 1] = Op::apply(a[i + 1], b);
+    o[i + 2] = Op::apply(a[i + 2], b);
+    o[i + 3] = Op::apply(a[i + 3], b);
+  }
+  for (; i < n; ++i) o[i] = Op::apply(a[i], b);
+}
+
+template <typename Op>
+void binary_ls_scalar(float* o, float a, const float* b, std::int64_t n) {
+  std::int64_t i = 0;
+  for (; i + 4 <= n; i += 4) {
+    o[i] = Op::apply(a, b[i]);
+    o[i + 1] = Op::apply(a, b[i + 1]);
+    o[i + 2] = Op::apply(a, b[i + 2]);
+    o[i + 3] = Op::apply(a, b[i + 3]);
+  }
+  for (; i < n; ++i) o[i] = Op::apply(a, b[i]);
+}
+
+void relu_scalar(float* o, const float* a, std::int64_t n) {
+  for (std::int64_t i = 0; i < n; ++i) o[i] = a[i] > 0.0f ? a[i] : 0.0f;
+}
+
+void relu_mask_scalar(float* o, const float* a, std::int64_t n) {
+  for (std::int64_t i = 0; i < n; ++i) o[i] = a[i] > 0.0f ? 1.0f : 0.0f;
+}
+
+void transpose8x8_scalar(float* dst, std::int64_t ldd, const float* src, std::int64_t lds) {
+  for (std::int64_t r = 0; r < 8; ++r) {
+    for (std::int64_t c = 0; c < 8; ++c) dst[c * ldd + r] = src[r * lds + c];
+  }
 }
 
 double sum_squares_scalar(const float* x, std::int64_t n) {
@@ -129,10 +183,25 @@ void matmul_tile4_scalar(float* c, float a0, float a1, float a2, float a3, const
 }
 
 constexpr Kernels kScalarKernels = {
-    "scalar",          axpy_scalar,      scale_scalar,      subtract_scalar,
-    sum_squares_scalar, sum_squared_diff_scalar, wavg_fold_scalar, wavg_store_scalar,
-    dadd_scalar,       dscale_store_scalar,
-    matmul_tile4_scalar,
+    .name = "scalar",
+    .axpy = axpy_scalar,
+    .scale = scale_scalar,
+    .sum_squares = sum_squares_scalar,
+    .sum_squared_diff = sum_squared_diff_scalar,
+    .wavg_fold = wavg_fold_scalar,
+    .wavg_store = wavg_store_scalar,
+    .dadd = dadd_scalar,
+    .dscale_store = dscale_store_scalar,
+    .matmul_tile4 = matmul_tile4_scalar,
+    .binary = {binary_scalar<AddOp>, binary_scalar<SubOp>, binary_scalar<MulOp>,
+               binary_scalar<DivOp>},
+    .binary_rs = {binary_rs_scalar<AddOp>, binary_rs_scalar<SubOp>, binary_rs_scalar<MulOp>,
+                  binary_rs_scalar<DivOp>},
+    .binary_ls = {binary_ls_scalar<AddOp>, binary_ls_scalar<SubOp>, binary_ls_scalar<MulOp>,
+                  binary_ls_scalar<DivOp>},
+    .relu = relu_scalar,
+    .relu_mask = relu_mask_scalar,
+    .transpose8x8 = transpose8x8_scalar,
 };
 
 // ---- Dispatch ------------------------------------------------------------

@@ -9,9 +9,10 @@
 //
 // Bitwise-determinism contract (DESIGN.md §13): both paths must produce
 // bit-identical results for every kernel. Elementwise kernels (axpy, scale,
-// subtract, the weighted-average fold, matmul_tile4) keep each element's
-// operation chain unchanged — vectorization only batches independent chains —
-// so parity is structural. The reductions (sum_squares, sum_squared_diff) are
+// the binary and relu runs, the weighted-average fold, matmul_tile4) keep
+// each element's operation chain unchanged — vectorization only batches
+// independent chains — and transpose8x8 only moves bits, so parity is
+// structural. The reductions (sum_squares, sum_squared_diff) are
 // lane-structured: four independent double accumulators over elements
 // i ≡ 0..3 (mod 4), combined as ((l0 + l2) + (l1 + l3)) + tail, which is
 // exactly the fold an AVX2 4x64-bit register reduction performs. The scalar
@@ -27,6 +28,10 @@ namespace quickdrop::simd {
 /// oracle; "avx2" requests AVX2 and falls back to scalar when unsupported).
 enum class Dispatch : int { kAuto = 0, kScalar = 1, kAvx2 = 2 };
 
+/// The elementwise binary operators of the tensor kernels; indexes the
+/// `binary*` entries of a Kernels table.
+enum BinaryOp : int { kAdd = 0, kSub = 1, kMul = 2, kDiv = 3, kNumBinaryOps = 4 };
+
 /// One table of microkernels. All pointers are non-null in both tables; the
 /// caller owns partitioning and passes disjoint [0, n) slices.
 struct Kernels {
@@ -36,8 +41,6 @@ struct Kernels {
   void (*axpy)(float* y, const float* x, float a, std::int64_t n);
   /// y[i] *= a
   void (*scale)(float* y, float a, std::int64_t n);
-  /// o[i] = a[i] - b[i]
-  void (*subtract)(float* o, const float* a, const float* b, std::int64_t n);
   /// Lane-structured sum of (double)x[i] squared (see header comment).
   double (*sum_squares)(const float* x, std::int64_t n);
   /// Lane-structured sum of ((float)(a[i] - b[i])) squared: the float
@@ -61,6 +64,20 @@ struct Kernels {
   /// mul-then-add (no FMA) — the blocked matmul's 4-way kk inner tile.
   void (*matmul_tile4)(float* c, float a0, float a1, float a2, float a3, const float* b0,
                        const float* b1, const float* b2, const float* b3, std::int64_t n);
+  /// o[i] = a[i] op b[i], one entry per BinaryOp. o may be a or b itself
+  /// (an exact alias, not a partial overlap).
+  void (*binary[kNumBinaryOps])(float* o, const float* a, const float* b, std::int64_t n);
+  /// o[i] = a[i] op b — a run against one right-hand scalar.
+  void (*binary_rs[kNumBinaryOps])(float* o, const float* a, float b, std::int64_t n);
+  /// o[i] = a op b[i] — one left-hand scalar against a run.
+  void (*binary_ls[kNumBinaryOps])(float* o, float a, const float* b, std::int64_t n);
+  /// o[i] = a[i] > 0 ? a[i] : 0 (NaN and -0 map to +0).
+  void (*relu)(float* o, const float* a, std::int64_t n);
+  /// o[i] = a[i] > 0 ? 1 : 0 — the ReLU mask.
+  void (*relu_mask)(float* o, const float* a, std::int64_t n);
+  /// dst[c * ldd + r] = src[r * lds + c] for r, c in [0, 8): one 8x8 tile
+  /// of a transpose. Pure data movement: parity is structural.
+  void (*transpose8x8)(float* dst, std::int64_t ldd, const float* src, std::int64_t lds);
 };
 
 /// The hand-tiled scalar oracle. Always available.

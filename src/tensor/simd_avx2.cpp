@@ -36,13 +36,105 @@ void scale_avx2(float* y, float a, std::int64_t n) {
   for (; i < n; ++i) y[i] *= a;
 }
 
-void subtract_avx2(float* o, const float* a, const float* b, std::int64_t n) {
+// The four binary operators: one IEEE instruction per lane, and the same
+// scalar expression for the tail, so every element's result is the scalar
+// oracle's.
+struct AddOp {
+  static __m256 apply(__m256 x, __m256 y) { return _mm256_add_ps(x, y); }
+  static float apply(float x, float y) { return x + y; }
+};
+struct SubOp {
+  static __m256 apply(__m256 x, __m256 y) { return _mm256_sub_ps(x, y); }
+  static float apply(float x, float y) { return x - y; }
+};
+struct MulOp {
+  static __m256 apply(__m256 x, __m256 y) { return _mm256_mul_ps(x, y); }
+  static float apply(float x, float y) { return x * y; }
+};
+struct DivOp {
+  static __m256 apply(__m256 x, __m256 y) { return _mm256_div_ps(x, y); }
+  static float apply(float x, float y) { return x / y; }
+};
+
+template <typename Op>
+void binary_avx2(float* o, const float* a, const float* b, std::int64_t n) {
+  std::int64_t i = 0;
+  for (; i + 8 <= n; i += 8) {
+    const __m256 r = Op::apply(_mm256_loadu_ps(a + i), _mm256_loadu_ps(b + i));
+    // qdlint: shared-write(caller passes a disjoint o[0,n) slice; this tile writes only it)
+    _mm256_storeu_ps(o + i, r);
+  }
+  for (; i < n; ++i) o[i] = Op::apply(a[i], b[i]);
+}
+
+template <typename Op>
+void binary_rs_avx2(float* o, const float* a, float b, std::int64_t n) {
+  const __m256 bv = _mm256_set1_ps(b);
   std::int64_t i = 0;
   for (; i + 8 <= n; i += 8) {
     // qdlint: shared-write(caller passes a disjoint o[0,n) slice; this tile writes only it)
-    _mm256_storeu_ps(o + i, _mm256_sub_ps(_mm256_loadu_ps(a + i), _mm256_loadu_ps(b + i)));
+    _mm256_storeu_ps(o + i, Op::apply(_mm256_loadu_ps(a + i), bv));
   }
-  for (; i < n; ++i) o[i] = a[i] - b[i];
+  for (; i < n; ++i) o[i] = Op::apply(a[i], b);
+}
+
+template <typename Op>
+void binary_ls_avx2(float* o, float a, const float* b, std::int64_t n) {
+  const __m256 av = _mm256_set1_ps(a);
+  std::int64_t i = 0;
+  for (; i + 8 <= n; i += 8) {
+    // qdlint: shared-write(caller passes a disjoint o[0,n) slice; this tile writes only it)
+    _mm256_storeu_ps(o + i, Op::apply(av, _mm256_loadu_ps(b + i)));
+  }
+  for (; i < n; ++i) o[i] = Op::apply(a, b[i]);
+}
+
+void relu_avx2(float* o, const float* a, std::int64_t n) {
+  const __m256 zero = _mm256_setzero_ps();
+  std::int64_t i = 0;
+  for (; i + 8 <= n; i += 8) {
+    // max_ps(x, 0) returns its second operand unless x > 0 (NaN, -0 and +0
+    // all give +0): exactly `x > 0 ? x : 0`.
+    // qdlint: shared-write(caller passes a disjoint o[0,n) slice; this tile writes only it)
+    _mm256_storeu_ps(o + i, _mm256_max_ps(_mm256_loadu_ps(a + i), zero));
+  }
+  for (; i < n; ++i) o[i] = a[i] > 0.0f ? a[i] : 0.0f;
+}
+
+void relu_mask_avx2(float* o, const float* a, std::int64_t n) {
+  const __m256 zero = _mm256_setzero_ps();
+  const __m256 one = _mm256_set1_ps(1.0f);
+  std::int64_t i = 0;
+  for (; i + 8 <= n; i += 8) {
+    // Ordered greater-than is false for NaN, like the scalar comparison.
+    const __m256 gt = _mm256_cmp_ps(_mm256_loadu_ps(a + i), zero, _CMP_GT_OQ);
+    // qdlint: shared-write(caller passes a disjoint o[0,n) slice; this tile writes only it)
+    _mm256_storeu_ps(o + i, _mm256_and_ps(gt, one));
+  }
+  for (; i < n; ++i) o[i] = a[i] > 0.0f ? 1.0f : 0.0f;
+}
+
+void transpose8x8_avx2(float* dst, std::int64_t ldd, const float* src, std::int64_t lds) {
+  // Interleave pairs of rows, then pairs of pairs, then swap 128-bit
+  // halves: the standard in-register 8x8 transpose. Only moves bits.
+  __m256 r[8], t[8], u[8];
+  for (int k = 0; k < 8; ++k) r[k] = _mm256_loadu_ps(src + k * lds);
+  for (int k = 0; k < 8; k += 2) {
+    t[k] = _mm256_unpacklo_ps(r[k], r[k + 1]);
+    t[k + 1] = _mm256_unpackhi_ps(r[k], r[k + 1]);
+  }
+  for (int k = 0; k < 8; k += 4) {
+    u[k] = _mm256_shuffle_ps(t[k], t[k + 2], _MM_SHUFFLE(1, 0, 1, 0));
+    u[k + 1] = _mm256_shuffle_ps(t[k], t[k + 2], _MM_SHUFFLE(3, 2, 3, 2));
+    u[k + 2] = _mm256_shuffle_ps(t[k + 1], t[k + 3], _MM_SHUFFLE(1, 0, 1, 0));
+    u[k + 3] = _mm256_shuffle_ps(t[k + 1], t[k + 3], _MM_SHUFFLE(3, 2, 3, 2));
+  }
+  for (int k = 0; k < 4; ++k) {
+    // qdlint: shared-write(caller owns output rows dst[0..8) of this tile)
+    _mm256_storeu_ps(dst + k * ldd, _mm256_permute2f128_ps(u[k], u[k + 4], 0x20));
+    // qdlint: shared-write(caller owns output rows dst[0..8) of this tile)
+    _mm256_storeu_ps(dst + (k + 4) * ldd, _mm256_permute2f128_ps(u[k], u[k + 4], 0x31));
+  }
 }
 
 /// Reduces a 4x64-bit accumulator to ((l0 + l2) + (l1 + l3)) — the lane fold
@@ -153,10 +245,24 @@ void matmul_tile4_avx2(float* c, float a0, float a1, float a2, float a3, const f
 }
 
 constexpr Kernels kAvx2Kernels = {
-    "avx2",          axpy_avx2,      scale_avx2,      subtract_avx2,
-    sum_squares_avx2, sum_squared_diff_avx2, wavg_fold_avx2, wavg_store_avx2,
-    dadd_avx2,       dscale_store_avx2,
-    matmul_tile4_avx2,
+    .name = "avx2",
+    .axpy = axpy_avx2,
+    .scale = scale_avx2,
+    .sum_squares = sum_squares_avx2,
+    .sum_squared_diff = sum_squared_diff_avx2,
+    .wavg_fold = wavg_fold_avx2,
+    .wavg_store = wavg_store_avx2,
+    .dadd = dadd_avx2,
+    .dscale_store = dscale_store_avx2,
+    .matmul_tile4 = matmul_tile4_avx2,
+    .binary = {binary_avx2<AddOp>, binary_avx2<SubOp>, binary_avx2<MulOp>, binary_avx2<DivOp>},
+    .binary_rs = {binary_rs_avx2<AddOp>, binary_rs_avx2<SubOp>, binary_rs_avx2<MulOp>,
+                  binary_rs_avx2<DivOp>},
+    .binary_ls = {binary_ls_avx2<AddOp>, binary_ls_avx2<SubOp>, binary_ls_avx2<MulOp>,
+                  binary_ls_avx2<DivOp>},
+    .relu = relu_avx2,
+    .relu_mask = relu_mask_avx2,
+    .transpose8x8 = transpose8x8_avx2,
 };
 
 }  // namespace

@@ -33,10 +33,7 @@ Tensor Tensor::randn(Shape shape, Rng& rng, float stddev) {
 }
 
 Tensor Tensor::clone() const {
-  Tensor t;
-  t.shape_ = shape_;
-  t.data_ = std::make_shared<std::vector<float>>(*data_);
-  return t;
+  return Tensor(shape_, std::make_shared<std::vector<float>>(*data_));
 }
 
 Tensor Tensor::reshaped(Shape new_shape) const {
@@ -44,10 +41,7 @@ Tensor Tensor::reshaped(Shape new_shape) const {
     throw std::invalid_argument("Tensor::reshaped: numel mismatch " + shape_to_string(shape_) +
                                 " -> " + shape_to_string(new_shape));
   }
-  Tensor t;
-  t.shape_ = std::move(new_shape);
-  t.data_ = data_;
-  return t;
+  return Tensor(std::move(new_shape), data_);
 }
 
 void Tensor::fill(float value) {

@@ -71,6 +71,10 @@ class Tensor {
   [[nodiscard]] float max_abs() const;
 
  private:
+  /// Adopts existing storage under `shape` (numel already checked).
+  Tensor(Shape shape, std::shared_ptr<std::vector<float>> data)
+      : shape_(std::move(shape)), data_(std::move(data)) {}
+
   Shape shape_;
   std::shared_ptr<std::vector<float>> data_;
 };

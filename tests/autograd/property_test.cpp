@@ -3,6 +3,8 @@
 // for any input.
 #include <gtest/gtest.h>
 
+#include <ostream>
+
 #include "autograd/gradcheck.h"
 #include "autograd/ops.h"
 
@@ -50,6 +52,14 @@ struct ConvCase {
   Shape input;
   int k, pad, stride;
 };
+
+// Names each case by its geometry, e.g. "1x1x4x4 k3 pad1 stride1". Without
+// it gtest prints the raw bytes of the struct, heap address of the shape
+// included, and the test names change from one run to the next.
+void PrintTo(const ConvCase& c, std::ostream* os) {
+  for (std::size_t i = 0; i < c.input.size(); ++i) *os << (i ? "x" : "") << c.input[i];
+  *os << " k" << c.k << " pad" << c.pad << " stride" << c.stride;
+}
 
 class ConvGradSweep : public ::testing::TestWithParam<ConvCase> {};
 

@@ -30,6 +30,8 @@
 #include <utility>
 #include <vector>
 
+#include <unistd.h>
+
 #include "store/store.h"
 #include "util/rng.h"
 
@@ -88,8 +90,13 @@ WorkloadResult run_workload(const std::string& path, const IoFactory& factory,
   return res;
 }
 
+/// The running test's store file. ctest runs every case as its own process,
+/// concurrently under -j, so the path carries the test name and the pid: no
+/// two cases ever share a file.
 std::string trial_path() {
-  const std::string path = ::testing::TempDir() + "qd_crash_sweep.qds";
+  const auto* test = ::testing::UnitTest::GetInstance()->current_test_info();
+  const std::string path = ::testing::TempDir() + "qd_crash_sweep_" + test->name() + "." +
+                           std::to_string(::getpid()) + ".qds";
   std::remove(path.c_str());
   std::remove((path + ".vacuum").c_str());
   return path;
@@ -149,6 +156,11 @@ class CrashSweep : public ::testing::Test {
     // healthy number of kill points on the main store file.
     ASSERT_GE(tallies_[0].first, 10) << "main store saw suspiciously few writes";
     ASSERT_GE(tallies_[0].second, 3) << "main store saw suspiciously few fsyncs";
+  }
+
+  void TearDown() override {
+    std::remove(path_.c_str());
+    std::remove((path_ + ".vacuum").c_str());
   }
 
   /// Runs one trial and checks the recovery contract. `dying` selects the

@@ -11,13 +11,15 @@
 #include <string>
 #include <vector>
 
+#include <unistd.h>
+
 #include "store/store.h"
 #include "util/rng.h"
 
 namespace quickdrop::store {
 namespace {
 
-std::string temp_path(const char* name) {
+std::string temp_path(const std::string& name) {
   const std::string path = ::testing::TempDir() + "qd_store_" + name;
   std::remove(path.c_str());
   std::remove((path + ".vacuum").c_str());
@@ -264,7 +266,10 @@ TEST(StoreTest, GarbageFileOpensAsEmptyStore) {
 class CorruptionFuzz : public ::testing::Test {
  protected:
   void SetUp() override {
-    path_ = temp_path("fuzz.qds");
+    // ctest runs every case as its own process, concurrently under -j, so
+    // the fixture's file carries the test name and the pid.
+    path_ = temp_path(std::string(::testing::UnitTest::GetInstance()->current_test_info()->name()) +
+                      "." + std::to_string(::getpid()) + "_fuzz.qds");
     {
       Store store(path_);
       store.put({1, 1, 0}, pattern(2 * kPagePayload + 100, 21));
@@ -277,6 +282,8 @@ class CorruptionFuzz : public ::testing::Test {
     }
     pristine_ = slurp(path_);
   }
+
+  void TearDown() override { std::remove(path_.c_str()); }
 
   /// Flips one byte at `offset`, reopens, and checks the recovery contract.
   void check_flip(std::size_t offset) {

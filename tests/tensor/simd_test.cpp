@@ -1,6 +1,8 @@
 // SIMD-vs-scalar bitwise parity for the dispatched microkernels (DESIGN.md
 // §13): the scalar table is the oracle; the AVX2 table must reproduce every
-// result bit-for-bit, including reduction lane structure and tail handling.
+// result bit-for-bit, including reduction lane structure, tail handling and
+// the IEEE edge cases (NaN, signed zeros, denormals) of the binary and relu
+// runs.
 // Also covers the dispatch plumbing itself and the matmul path end-to-end.
 
 #include <gtest/gtest.h>
@@ -8,6 +10,7 @@
 #include <bit>
 #include <cstdint>
 #include <cstring>
+#include <limits>
 #include <vector>
 
 #include "tensor/kernels.h"
@@ -94,9 +97,108 @@ TEST(SimdParity, ElementwiseKernelsMatchBitwise) {
     expect_bitwise_equal(ys, yv, "scale");
 
     std::vector<float> os(static_cast<std::size_t>(n)), ov(static_cast<std::size_t>(n));
-    s.subtract(os.data(), x.data(), base.data(), n);
-    v.subtract(ov.data(), x.data(), base.data(), n);
+    s.binary[quickdrop::simd::kSub](os.data(), x.data(), base.data(), n);
+    v.binary[quickdrop::simd::kSub](ov.data(), x.data(), base.data(), n);
     expect_bitwise_equal(os, ov, "subtract");
+  }
+}
+
+/// synth_buffer with IEEE edge cases spliced in: signed zeros, infinities,
+/// NaN, denormals and huge/tiny magnitudes, so division, relu and the mask
+/// are checked where the SIMD and scalar semantics could differ.
+std::vector<float> edgy_buffer(std::int64_t n, float phase) {
+  auto v = synth_buffer(n, phase);
+  const float specials[] = {0.0f,
+                            -0.0f,
+                            std::numeric_limits<float>::infinity(),
+                            -std::numeric_limits<float>::infinity(),
+                            std::numeric_limits<float>::quiet_NaN(),
+                            std::numeric_limits<float>::denorm_min(),
+                            -std::numeric_limits<float>::denorm_min(),
+                            std::numeric_limits<float>::max(),
+                            std::numeric_limits<float>::min()};
+  for (std::size_t i = 0; i < v.size(); i += 3) v[i] = specials[(i / 3 + 7 * (i % 5)) % 9];
+  return v;
+}
+
+TEST(SimdParity, BinaryRunsMatchBitwise) {
+  if (!avx2_usable()) GTEST_SKIP() << "AVX2 not available";
+  const Kernels& s = quickdrop::simd::scalar_kernels();
+  const Kernels& v = quickdrop::simd::avx2_kernels();
+  const char* names[] = {"add", "sub", "mul", "div"};
+  for (const std::int64_t n : kSizes) {
+    const auto a = edgy_buffer(n, 0.25f);
+    const auto b = edgy_buffer(n + 1, -0.5f);  // offset edge cases against a's
+    const auto un = static_cast<std::size_t>(n);
+    for (int op = 0; op < quickdrop::simd::kNumBinaryOps; ++op) {
+      std::vector<float> os(un), ov(un);
+      s.binary[op](os.data(), a.data(), b.data() + 1, n);
+      v.binary[op](ov.data(), a.data(), b.data() + 1, n);
+      expect_bitwise_equal(os, ov, names[op]);
+      // In place (o == a), as col2im and the reduction rows use it.
+      auto is = a, iv = a;
+      s.binary[op](is.data(), is.data(), b.data() + 1, n);
+      v.binary[op](iv.data(), iv.data(), b.data() + 1, n);
+      expect_bitwise_equal(is, iv, names[op]);
+      for (const float scalar : {0.75f, -0.0f, 3.0e-39f, std::numeric_limits<float>::infinity()}) {
+        s.binary_rs[op](os.data(), a.data(), scalar, n);
+        v.binary_rs[op](ov.data(), a.data(), scalar, n);
+        expect_bitwise_equal(os, ov, names[op]);
+        s.binary_ls[op](os.data(), scalar, a.data(), n);
+        v.binary_ls[op](ov.data(), scalar, a.data(), n);
+        expect_bitwise_equal(os, ov, names[op]);
+      }
+    }
+  }
+}
+
+TEST(SimdParity, Transpose8x8MatchesBitwise) {
+  if (!avx2_usable()) GTEST_SKIP() << "AVX2 not available";
+  const Kernels& s = quickdrop::simd::scalar_kernels();
+  const Kernels& v = quickdrop::simd::avx2_kernels();
+  // Strided source and destination, NaN payloads and signed zeros included:
+  // the tile must move bits, not values.
+  const std::int64_t lds = 11, ldd = 13;
+  const auto src = edgy_buffer(8 * lds, 0.5f);
+  std::vector<float> ds(8 * ldd, 7.0f), dv(8 * ldd, 7.0f);
+  s.transpose8x8(ds.data(), ldd, src.data(), lds);
+  v.transpose8x8(dv.data(), ldd, src.data(), lds);
+  expect_bitwise_equal(ds, dv, "transpose8x8");
+  for (std::int64_t r = 0; r < 8; ++r) {
+    for (std::int64_t c = 0; c < 8; ++c) {
+      ASSERT_EQ(std::bit_cast<std::uint32_t>(ds[static_cast<std::size_t>(c * ldd + r)]),
+                std::bit_cast<std::uint32_t>(src[static_cast<std::size_t>(r * lds + c)]));
+    }
+  }
+}
+
+TEST(SimdParity, ReluAndMaskMatchBitwise) {
+  if (!avx2_usable()) GTEST_SKIP() << "AVX2 not available";
+  const Kernels& s = quickdrop::simd::scalar_kernels();
+  const Kernels& v = quickdrop::simd::avx2_kernels();
+  for (const std::int64_t n : kSizes) {
+    const auto a = edgy_buffer(n, 0.0f);
+    std::vector<float> os(static_cast<std::size_t>(n)), ov(static_cast<std::size_t>(n));
+    s.relu(os.data(), a.data(), n);
+    v.relu(ov.data(), a.data(), n);
+    expect_bitwise_equal(os, ov, "relu");
+    s.relu_mask(os.data(), a.data(), n);
+    v.relu_mask(ov.data(), a.data(), n);
+    expect_bitwise_equal(os, ov, "relu_mask");
+  }
+  // The contract's edge cases, spelled out: NaN and -0 map to +0.
+  const float in[] = {std::numeric_limits<float>::quiet_NaN(), -0.0f, 0.0f, -1.0f, 2.0f, 0.0f,
+                      0.0f, 0.0f};
+  for (const Kernels* k : {&s, &v}) {
+    float out[8], mask[8];
+    k->relu(out, in, 8);
+    k->relu_mask(mask, in, 8);
+    EXPECT_EQ(std::bit_cast<std::uint32_t>(out[0]), 0u) << k->name;
+    EXPECT_EQ(std::bit_cast<std::uint32_t>(out[1]), 0u) << k->name;
+    EXPECT_EQ(out[4], 2.0f) << k->name;
+    EXPECT_EQ(mask[0], 0.0f) << k->name;
+    EXPECT_EQ(mask[1], 0.0f) << k->name;
+    EXPECT_EQ(mask[4], 1.0f) << k->name;
   }
 }
 
