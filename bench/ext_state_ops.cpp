@@ -1,13 +1,13 @@
 // google-benchmark microbenchmarks of the parameter plane (DESIGN.md §11):
-// axpy / weighted_average / serialize throughput on the flat representation,
-// swept over pool sizes, against a faithful reimplementation of the
-// pre-refactor per-tensor representation (vector<Tensor>, serial per-tensor
-// loops, float accumulation) as the baseline. Results land in
+// axpy / streaming weighted-average / serialize throughput on the flat
+// representation, swept over pool sizes, against a faithful reimplementation
+// of the pre-refactor per-tensor representation (vector<Tensor>, serial
+// per-tensor loops, float accumulation) as the baseline. Results land in
 // BENCH_state_ops.json (see main below) for machine consumption; run_all.sh
 // checks the file exists after the bench sweep.
 // The *Scalar/*Simd pairs pin the microkernel dispatch (tensor/simd.h) to
 // one table on L2-resident buffers, isolating the SIMD speedup from memory
-// bandwidth (acceptance: >= 2x at 1 thread on axpy / weighted_average /
+// bandwidth (acceptance: >= 2x at 1 thread on axpy / weighted average /
 // l2_distance). The Quantize* benchmarks measure the int8/bf16 update codec
 // (fl/quantize.h) and report the wire/fp32 byte ratio as a counter.
 #include <benchmark/benchmark.h>
@@ -144,31 +144,14 @@ void BM_AxpyPerTensor(benchmark::State& state) {
 BENCHMARK(BM_AxpyPerTensor);
 
 // ---------------------------------------------------------------------------
-// weighted_average (FedAvg's aggregation step; 16 clients)
+// weighted average (FedAvg's aggregation step; 16 clients)
 // ---------------------------------------------------------------------------
 
 constexpr int kClients = 16;
 
-void BM_WeightedAverageFlat(benchmark::State& state) {
-  PoolScope pool(state.range(0));
-  std::vector<nn::ModelState> states;
-  std::vector<float> weights;
-  for (int c = 0; c < kClients; ++c) {
-    states.push_back(make_flat(0.01f * static_cast<float>(c)));
-    weights.push_back(1.0f / static_cast<float>(kClients));
-  }
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(nn::weighted_average(states, weights));
-  }
-  state.SetItemsProcessed(state.iterations() * states.front().numel() * kClients);
-}
-BENCHMARK(BM_WeightedAverageFlat)->Arg(1)->Arg(4)->Arg(8);
-
-// Streaming counterpart (nn/state_accumulator.h): the same 16-client merge
-// folded one update at a time through a single-lane StateAccumulator — the
-// shard tree's inner loop. Produces bitwise-identical output to
-// weighted_average; the column shows what the O(params)-memory path costs
-// relative to the batch merge.
+// The 16-client merge folded one update at a time through a single-lane
+// StateAccumulator (nn/state_accumulator.h) — the round aggregator's inner
+// loop, holding O(params) memory at any cohort size.
 void BM_WeightedAverageStreaming(benchmark::State& state) {
   PoolScope pool(state.range(0));
   std::vector<nn::ModelState> states;
@@ -269,17 +252,19 @@ void BM_AxpyDispatch(benchmark::State& state) {
 }
 BENCHMARK(BM_AxpyDispatch)->ArgNames({"simd"})->Arg(0)->Arg(1);
 
+// The single-lane StateAccumulator merge of 8 clients (fold + finalize).
 void BM_WeightedAverageDispatch(benchmark::State& state) {
   PoolScope pool(1);
   DispatchScope dispatch(dispatch_of(state.range(0)));
   std::vector<nn::ModelState> states;
-  std::vector<float> weights;
   for (int c = 0; c < 8; ++c) {
     states.push_back(make_small(0.01f * static_cast<float>(c)));
-    weights.push_back(0.125f);
   }
+  nn::StateAccumulator acc(states.front().layout(), /*lanes=*/1);
   for (auto _ : state) {
-    benchmark::DoNotOptimize(nn::weighted_average(states, weights));
+    for (const auto& s : states) acc.fold(s, 0.125);
+    benchmark::DoNotOptimize(acc.finalize());
+    acc.reset();
   }
   state.SetItemsProcessed(state.iterations() * states.front().numel() * 8);
 }

@@ -105,7 +105,7 @@ done
 
 # The state-ops microbenchmark (bench/ext_state_ops) writes its JSON into the
 # working directory; the sweep above must have produced it (flat vs per-tensor
-# representation, weighted_average thread scaling — see DESIGN.md §11).
+# representation, streaming weighted-average thread scaling — see DESIGN.md §11).
 if [ -f BENCH_state_ops.json ]; then
   echo "state-ops bench: BENCH_state_ops.json written" | tee -a bench_output.txt
 else
@@ -144,11 +144,11 @@ else
   echo "net bench: MISSING BENCH_net.json" | tee -a bench_output.txt
 fi
 
-# Likewise the shard-tree scale sweep (bench/ext_scale_shard): streaming
-# aggregation peak memory vs cohort size, plus the cross-shard bitwise
+# Likewise the aggregation scale sweep (bench/ext_aggregate_scale): streaming
+# aggregation peak memory vs cohort size, plus the 1-vs-4-thread bitwise
 # invariance verdict — see DESIGN.md §16.
-if [ -f BENCH_scale_shard.json ]; then
-  echo "scale-shard bench: BENCH_scale_shard.json written" | tee -a bench_output.txt
+if [ -f BENCH_aggregate_scale.json ]; then
+  echo "aggregate-scale bench: BENCH_aggregate_scale.json written" | tee -a bench_output.txt
 else
-  echo "scale-shard bench: MISSING BENCH_scale_shard.json" | tee -a bench_output.txt
+  echo "aggregate-scale bench: MISSING BENCH_aggregate_scale.json" | tee -a bench_output.txt
 fi

@@ -12,14 +12,14 @@ nn::ModelState UnlearningMethod::run_rounds(TrainedFederation& fed, const nn::Mo
   const Timer timer;
   const auto model = fed.factory();
   fl::SgdLocalUpdate update(config_.local_steps, config_.batch_size, lr, direction);
-  fl::FedAvgConfig fedcfg{
+  fl::ResilientConfig fedcfg{
       .rounds = rounds,
       .participation = participation < 0.0f ? config_.participation : participation};
   fedcfg.client_model_factory = fed.factory;
   fl::CostMeter cost;
   Rng rng(0xBA5E0000ULL + rng_tag);
   nn::ModelState result =
-      fl::run_fedavg(*model, start, client_data, update, fedcfg, rng, cost);
+      fl::run_resilient(*model, start, client_data, update, fedcfg, rng, cost);
   if (report) {
     report->seconds = timer.seconds();
     report->rounds = rounds;

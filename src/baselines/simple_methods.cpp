@@ -50,10 +50,8 @@ UnlearnOutcome S2U::unlearn(TrainedFederation& fed, const core::UnlearningReques
 
   // The reweighting depends only on dataset sizes, so the normalized weights
   // are known before any client trains — which lets each client's state fold
-  // straight into a streaming accumulator and be discarded, instead of the
-  // old materialize-the-whole-cohort-then-weighted_average copy. A
-  // single-lane accumulator fed in index order reproduces weighted_average's
-  // per-element double chain bit for bit.
+  // straight into a streaming accumulator and be discarded instead of
+  // holding the whole cohort.
   std::int64_t cohort_samples = 0;
   for (const auto& d : clients) cohort_samples += d.size();
   std::vector<float> weights;

@@ -31,11 +31,10 @@ nn::ModelState QuickDrop::train(const fl::RoundCallback& callback,
   const Timer timer;
   DistillingLocalUpdate update(stores_, config_.local_steps, config_.batch_size,
                                config_.train_lr, config_.distill);
-  fl::FedAvgConfig fed{.rounds = config_.fl_rounds, .participation = config_.participation};
+  fl::ResilientConfig fed{.rounds = config_.fl_rounds, .participation = config_.participation};
   fed.faults = config_.faults;
   fed.defense = config_.defense;
   fed.transport = config_.transport;
-  fed.aggregation = config_.aggregation;
   // Concurrent clients, except when fine-tuning follows: finetune_store
   // re-initializes models from the shared factory RNG, and the number of
   // factory calls the parallel engine makes depends on the thread count —
@@ -53,8 +52,8 @@ nn::ModelState QuickDrop::train(const fl::RoundCallback& callback,
     fed_rng = Rng::deserialize(resume->rng_state);
   }
   nn::ModelState global =
-      fl::run_fedavg(*scratch_model_, std::move(start), client_train_, update, fed, fed_rng,
-                     training_stats_.cost, callback, client_callback, cursor_callback);
+      fl::run_resilient(*scratch_model_, std::move(start), client_train_, update, fed, fed_rng,
+                        training_stats_.cost, callback, client_callback, cursor_callback);
   distill_seconds_ = update.distill_seconds();
 
   // Optional fine-tuning of every client's synthetic store (§3.3.2).
@@ -164,17 +163,16 @@ nn::ModelState QuickDrop::run_phase(const nn::ModelState& start,
   const Timer timer;
   fl::SgdLocalUpdate update(config_.unlearn_local_steps, config_.unlearn_batch_size, lr,
                             direction);
-  fl::FedAvgConfig fed{.rounds = rounds, .participation = participation};
+  fl::ResilientConfig fed{.rounds = rounds, .participation = participation};
   fed.faults = config_.faults;
   fed.defense = config_.defense;
   fed.transport = config_.transport;
-  fed.aggregation = config_.aggregation;
   fed.start_round = start_round;
   fed.client_model_factory = factory_;
   fl::CostMeter cost;
   Rng phase_rng = resume_rng ? Rng::deserialize(*resume_rng) : rng_.split(0xE0);
-  nn::ModelState result = fl::run_fedavg(*scratch_model_, start, client_data, update, fed,
-                                         phase_rng, cost, callback, {}, cursor_callback);
+  nn::ModelState result = fl::run_resilient(*scratch_model_, start, client_data, update, fed,
+                                            phase_rng, cost, callback, {}, cursor_callback);
   if (stats) {
     stats->seconds = timer.seconds();
     stats->cost = cost;
@@ -197,17 +195,6 @@ nn::ModelState QuickDrop::unlearn_batch(const nn::ModelState& state,
                                         const UnlearnCursorCallback& cursor_callback,
                                         const UnlearnCursor* resume) {
   if (batch.empty()) throw std::invalid_argument("QuickDrop::unlearn: empty request batch");
-  if (resume && (resume->shards != config_.aggregation.shards ||
-                 resume->shard_fanout != config_.aggregation.fanout)) {
-    // Rounds are atomic, so the merge bits would match either way — but a
-    // topology switch mid-request silently changes the per-shard accounting
-    // the cursor was captured under, so reject it loudly.
-    throw std::invalid_argument(
-        "QuickDrop::unlearn: resume cursor shard topology (" +
-        std::to_string(resume->shards) + "x fanout " + std::to_string(resume->shard_fanout) +
-        ") does not match the coordinator (" + std::to_string(config_.aggregation.shards) +
-        "x fanout " + std::to_string(config_.aggregation.fanout) + ")");
-  }
   const bool resume_sga = resume && resume->phase == UnlearnCursor::kPhaseUnlearn;
   const bool resume_recovery = resume && resume->phase == UnlearnCursor::kPhaseRecover;
 
@@ -252,9 +239,7 @@ nn::ModelState QuickDrop::unlearn_batch(const nn::ModelState& state,
       ++rounds_run;
       if (cursor_callback) {
         cursor_callback(UnlearnCursor{.phase = UnlearnCursor::kPhaseUnlearn,
-                                      .rounds_done = rounds_run,
-                                      .shards = config_.aggregation.shards,
-                                      .shard_fanout = config_.aggregation.fanout},
+                                      .rounds_done = rounds_run},
                         current);
       }
     }
@@ -268,9 +253,7 @@ nn::ModelState QuickDrop::unlearn_batch(const nn::ModelState& state,
       sga_cursor = [&](int round, const nn::ModelState& s, const Rng& rng) {
         cursor_callback(UnlearnCursor{.phase = UnlearnCursor::kPhaseUnlearn,
                                       .rounds_done = round + 1,
-                                      .rng_state = rng.serialize(),
-                                      .shards = config_.aggregation.shards,
-                                      .shard_fanout = config_.aggregation.fanout},
+                                      .rng_state = rng.serialize()},
                         s);
       };
     }
@@ -290,9 +273,7 @@ nn::ModelState QuickDrop::unlearn_batch(const nn::ModelState& state,
       recover_cursor = [&](int round, const nn::ModelState& s, const Rng& rng) {
         cursor_callback(UnlearnCursor{.phase = UnlearnCursor::kPhaseRecover,
                                       .rounds_done = round + 1,
-                                      .rng_state = rng.serialize(),
-                                      .shards = config_.aggregation.shards,
-                                      .shard_fanout = config_.aggregation.fanout},
+                                      .rng_state = rng.serialize()},
                         s);
       };
     }

@@ -12,7 +12,7 @@
 #include "core/finetune.h"
 #include "core/request.h"
 #include "core/synthetic_store.h"
-#include "fl/fedavg.h"
+#include "fl/resilient.h"
 
 namespace quickdrop::core {
 
@@ -55,10 +55,6 @@ struct QuickDropConfig {
   /// relearn). Quantizing codecs cut uploaded bytes ~4× (int8) at a small,
   /// bounded accuracy cost (see fl/quantize.h and DESIGN.md §13).
   fl::TransportConfig transport;
-  /// Shard-tree aggregation topology for every phase (fl/shard_tree.h,
-  /// DESIGN.md §16). Pure topology/accounting knob: the merged bits are
-  /// identical for any shards/fanout setting.
-  fl::AggregationConfig aggregation;
   /// Relearning trains on the (synthetic) forget set ONLY, so it must be
   /// gentle enough not to catastrophically forget the retained classes.
   float relearn_lr = 0.02f;
@@ -94,13 +90,6 @@ struct UnlearnCursor {
   int phase = kPhaseUnlearn;
   int rounds_done = 0;  ///< completed rounds within `phase`
   std::vector<std::uint8_t> rng_state;
-  /// Shard-tree topology the interrupted cycle ran under. Rounds are atomic
-  /// (lane accumulators never outlive a round), so a killed-mid-merge resume
-  /// replays the in-flight round from this cursor; unlearn_batch() rejects a
-  /// resume whose coordinator is configured with a different topology, so
-  /// the replayed merge provably runs the same shard plan.
-  int shards = 1;
-  int shard_fanout = 8;
 };
 
 /// Fires after every completed unlearn/recover round with the cursor and the
@@ -200,14 +189,6 @@ class QuickDrop {
   /// Swaps the update-transport codec for subsequent phases (used by the
   /// accuracy-vs-compression sweep bench; does not require retraining).
   void set_transport(fl::TransportConfig transport) { config_.transport = transport; }
-
-  /// Swaps the shard-tree aggregation topology for subsequent phases (used
-  /// by the scale bench and the serve CLI override; validates eagerly and
-  /// does not require retraining — the merge bits are topology-invariant).
-  void set_aggregation(fl::AggregationConfig aggregation) {
-    aggregation.validate();
-    config_.aggregation = aggregation;
-  }
 
   /// Replaces the synthetic stores, e.g. with stores restored from a
   /// checkpoint (see core/checkpoint.h) — unlearning requests can then be

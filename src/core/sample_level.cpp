@@ -188,12 +188,12 @@ SampleLevelQuickDrop::SampleLevelQuickDrop(fl::ModelFactory factory,
 nn::ModelState SampleLevelQuickDrop::train(const fl::RoundCallback& callback) {
   SubsetDistillingUpdate update(stores_, config_.local_steps, config_.batch_size,
                                 config_.train_lr, config_.distill);
-  fl::FedAvgConfig fed{.rounds = config_.fl_rounds, .participation = config_.participation};
+  fl::ResilientConfig fed{.rounds = config_.fl_rounds, .participation = config_.participation};
   fed.client_model_factory = factory_;
   fl::CostMeter cost;
   Rng fed_rng = rng_.split(0xF2);
-  return fl::run_fedavg(*scratch_model_, nn::state_of(*scratch_model_), client_train_, update,
-                        fed, fed_rng, cost, callback);
+  return fl::run_resilient(*scratch_model_, nn::state_of(*scratch_model_), client_train_, update,
+                           fed, fed_rng, cost, callback);
 }
 
 std::map<int, std::vector<int>> SampleLevelQuickDrop::affected_cells(
@@ -233,11 +233,11 @@ nn::ModelState SampleLevelQuickDrop::unlearn(const nn::ModelState& state,
                  nn::UpdateDirection dir, PhaseStats* stats, const nn::ModelState& start) {
     const Timer timer;
     fl::SgdLocalUpdate update(config_.unlearn_local_steps, config_.unlearn_batch_size, lr, dir);
-    fl::FedAvgConfig fed{.rounds = rounds, .participation = 1.0f};
+    fl::ResilientConfig fed{.rounds = rounds, .participation = 1.0f};
     fed.client_model_factory = factory_;
     fl::CostMeter cost;
     Rng phase_rng = rng_.split(0xE5);
-    auto result = fl::run_fedavg(*scratch_model_, start, data, update, fed, phase_rng, cost);
+    auto result = fl::run_resilient(*scratch_model_, start, data, update, fed, phase_rng, cost);
     if (stats) {
       stats->seconds = timer.seconds();
       stats->cost = cost;

@@ -71,8 +71,8 @@ class FaultPlan {
   /// Random faults at the given rates, derived deterministically from `seed`.
   FaultPlan(std::uint64_t seed, FaultRates rates);
 
-  /// Convenience: the legacy `dropout_rate` behaviour — each sampled client
-  /// independently crashes with probability `rate`.
+  /// Client dropout: each sampled client independently crashes with
+  /// probability `rate`.
   static FaultPlan bernoulli_crash(std::uint64_t seed, float rate);
 
   /// Scripts a specific fault for (round, client); fires on the first

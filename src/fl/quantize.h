@@ -3,8 +3,9 @@
 // Clients ship the *delta* between their local state and the round's global
 // state, quantized per fixed-size block, instead of the raw fp32 state. The
 // server decodes the delta, reconstructs `global + delta`, and aggregation
-// proceeds through the existing double accumulator in nn::weighted_average —
-// quantization error enters exactly once, at the client→server boundary.
+// proceeds through the round aggregator's double accumulator
+// (fl/aggregator.h) — quantization error enters exactly once, at the
+// client→server boundary.
 //
 // Wire framing (little-endian, rides the v2 state format's conventions):
 //   u64 magic ("QDWQ" v1)
@@ -43,7 +44,7 @@ namespace quickdrop::fl {
 enum class Codec : std::uint8_t { kNone = 0, kInt8 = 1, kBf16 = 2 };
 
 /// Client→server transport configuration, threaded from QuickDropConfig
-/// through FedAvgConfig/ResilientConfig into the round engine.
+/// through ResilientConfig into the round engine.
 struct TransportConfig {
   Codec codec = Codec::kNone;
 };
@@ -68,8 +69,8 @@ nn::ModelState decode_delta(std::span<const std::uint8_t> bytes,
 
 /// Streaming decode: validates the frame exactly like decode_delta, but hands
 /// each decoded block to `block_fn(lo, len, values)` (kQuantBlock granularity,
-/// in offset order) instead of materializing a whole fp32 state — the shard
-/// tree's decode-into-accumulator path runs on O(kQuantBlock) scratch.
+/// in offset order) instead of materializing a whole fp32 state — the
+/// aggregator's decode-into-accumulator path runs on O(kQuantBlock) scratch.
 /// Zero blocks are delivered as explicit zeros, so reconstructing
 /// `global + delta` block by block is bit-identical to axpy over a
 /// materialized decode. Frame errors may throw mid-stream, after some blocks

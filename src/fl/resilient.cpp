@@ -5,6 +5,7 @@
 #include <optional>
 #include <stdexcept>
 
+#include "fl/aggregator.h"
 #include "util/logging.h"
 #include "util/thread_pool.h"
 
@@ -66,7 +67,6 @@ nn::ModelState run_resilient(nn::Module& model, nn::ModelState global,
     throw std::invalid_argument("run_resilient: bad config");
   }
   config.defense.validate();
-  config.aggregation.validate();
   std::vector<int> eligible;
   for (std::size_t i = 0; i < client_data.size(); ++i) {
     if (!client_data[i].empty()) eligible.push_back(static_cast<int>(i));
@@ -84,12 +84,12 @@ nn::ModelState run_resilient(nn::Module& model, nn::ModelState global,
   // compatibility.
   const auto layout = global.layout();
 
-  // The streaming hierarchical aggregator, reused (reset) across rounds. The
-  // norm-outlier rule is the one validation that needs the whole cohort's
-  // norms before any accept/reject decision, so it forces buffering; every
-  // other defense is per-update and streams. Both modes fold accepted
-  // updates in cohort order through this tree, so they agree bit-for-bit.
-  ShardTree tree(layout, config.aggregation);
+  // The streaming aggregator, reused (reset) across rounds. The norm-outlier
+  // rule is the one validation that needs the whole cohort's norms before
+  // any accept/reject decision, so it forces buffering; every other defense
+  // is per-update and streams. Both modes fold accepted updates in cohort
+  // order through this aggregator, so they agree bit-for-bit.
+  Aggregator agg(layout);
   const bool streaming = !(config.defense.norm_outlier_multiplier > 0.0f);
 
   for (int round = config.start_round; round < config.rounds; ++round) {
@@ -113,7 +113,7 @@ nn::ModelState run_resilient(nn::Module& model, nn::ModelState global,
       }
       const int sampled = static_cast<int>(cohort.size());
 
-      tree.reset();
+      agg.reset();
       std::int64_t accepted_count = 0;
       std::int64_t accepted_samples = 0;
       std::vector<Delivery> delivered;  // buffered mode only
@@ -131,16 +131,16 @@ nn::ModelState run_resilient(nn::Module& model, nn::ModelState global,
 
       // Accepts one delivery on the streaming path: validate with the
       // per-update rules, surface it to the client callback, fold it into
-      // the tree and forget it. Wire-framed deliveries are probed (decoded
-      // block-by-block, no fp32 state materialized) unless the client
-      // callback needs the full state anyway.
+      // the aggregator and forget it. Wire-framed deliveries are probed
+      // (decoded block-by-block, no fp32 state materialized) unless the
+      // client callback needs the full state anyway.
       auto stream_delivery = [&](Delivery&& d) {
         const char* reason = nullptr;
         bool fold_wire = false;
         if (!d.wire.empty() && !client_callback) {
-          ShardTree::WireProbe probe;
+          Aggregator::WireProbe probe;
           try {
-            probe = tree.probe_quantized(d.wire, global);
+            probe = agg.probe_quantized(d.wire, global);
           } catch (const nn::StateError&) {
             ++cost.quarantined_updates;
             QD_LOG_WARN << "round " << round << ": quarantined update from client " << d.client
@@ -180,10 +180,10 @@ nn::ModelState run_resilient(nn::Module& model, nn::ModelState global,
         // Raw sample-count weights: the normalizer (total accepted samples)
         // is only known after the last fold, so finalize applies it once.
         if (fold_wire) {
-          tree.fold_quantized(d.client, d.wire, global, static_cast<double>(samples));
+          agg.fold_quantized(d.client, d.wire, global, static_cast<double>(samples));
         } else {
           if (client_callback) client_callback(round, d.client, d.state, global);
-          tree.fold(d.client, d.state, static_cast<double>(samples));
+          agg.fold(d.client, d.state, static_cast<double>(samples));
         }
         ++accepted_count;
         accepted_samples += samples;
@@ -323,7 +323,7 @@ nn::ModelState run_resilient(nn::Module& model, nn::ModelState global,
           }
           if (client_callback) client_callback(round, d.client, d.state, global);
           const auto samples = client_data[static_cast<std::size_t>(d.client)].size();
-          tree.fold(d.client, d.state, static_cast<double>(samples));
+          agg.fold(d.client, d.state, static_cast<double>(samples));
           ++accepted_count;
           accepted_samples += samples;
         }
@@ -350,7 +350,7 @@ nn::ModelState run_resilient(nn::Module& model, nn::ModelState global,
       // Root merge: one O(params) collapse + scale by the now-known weight
       // normalizer. The folds carried raw |D_c| weights, so scaling by
       // 1 / accepted_samples yields the same |D_c|/|D| FedAvg weighting.
-      global = tree.finalize(1.0 / static_cast<double>(accepted_samples));
+      global = agg.finalize(1.0 / static_cast<double>(accepted_samples));
       if (!nn::all_finite(global)) {
         // Validation rejects non-finite uploads and finite ones cannot
         // aggregate to NaN/Inf unless the weights overflow — either way the
@@ -364,6 +364,12 @@ nn::ModelState run_resilient(nn::Module& model, nn::ModelState global,
     if (cursor_callback) cursor_callback(round, global, rng);
   }
   return global;
+}
+
+std::int64_t total_samples(const std::vector<data::Dataset>& client_data) {
+  std::int64_t n = 0;
+  for (const auto& d : client_data) n += d.size();
+  return n;
 }
 
 }  // namespace quickdrop::fl

@@ -1,31 +1,34 @@
-// Fault-tolerant federation round engine.
+// The federation round engine — the one entry point for FL training, SGA
+// unlearning rounds, recovery rounds, relearning rounds and every baseline.
 //
-// Executes blocks of FedAvg-style rounds while surviving the fault model of
-// fl/faults.h: crashed clients are skipped, stragglers' late uploads are
-// discarded, and corrupted uploads are quarantined by a server-side
-// validation pass (finiteness + norm-outlier checks). A quorum policy can
-// retry a round with fresh sampling when too few valid updates arrive, with
-// exponential-backoff accounting. The aggregated global state is guaranteed
-// all-finite every round. Round-level resume is supported via `start_round`
-// plus a per-round cursor callback that exposes the engine RNG for
-// checkpointing (see core/checkpoint.h RoundCursor).
+// Executes blocks of FedAvg rounds (Algorithm 1's outer loop) while
+// surviving the fault model of fl/faults.h: crashed clients are skipped,
+// stragglers' late uploads are discarded, and corrupted uploads are
+// quarantined by a server-side validation pass (finiteness + norm-outlier
+// checks). A quorum policy can retry a round with fresh sampling when too few
+// valid updates arrive, with exponential-backoff accounting. The aggregated
+// global state is guaranteed all-finite every round. Round-level resume is
+// supported via `start_round` plus a per-round cursor callback that exposes
+// the engine RNG for checkpointing (see core/checkpoint.h RoundCursor).
 //
-// Aggregation streams through the fl/shard_tree.h hierarchical accumulator:
-// with no norm-outlier rule configured, accepted updates fold into per-lane
-// double accumulators wave-by-wave and are discarded, so a round's peak
-// server memory is O(params) regardless of cohort size (DESIGN.md §16).
-//
-// fl/fedavg.h::run_fedavg is a thin façade over this engine.
+// Aggregation streams through the fl/aggregator.h accumulator: with no
+// norm-outlier rule configured (the one validation that needs the whole
+// cohort's norms at once), accepted updates fold into per-lane double
+// accumulators wave-by-wave and are discarded, so a round's peak server
+// memory is O(params) regardless of cohort size (DESIGN.md §16). With the
+// outlier rule on, the engine buffers the cohort first; both modes fold in
+// cohort order and produce bit-identical globals for the same accepted set.
 #pragma once
 
+#include <cstdint>
 #include <functional>
+#include <vector>
 
 #include "data/dataset.h"
 #include "fl/client_update.h"
 #include "fl/cost.h"
 #include "fl/faults.h"
 #include "fl/quantize.h"
-#include "fl/shard_tree.h"
 #include "nn/state.h"
 
 namespace quickdrop::fl {
@@ -81,17 +84,6 @@ struct ResilientConfig {
   /// validation, and a delta that fails to decode is quarantined like a
   /// corrupted upload. Uploaded-byte accounting reflects the wire size.
   TransportConfig transport;
-  /// Shard-tree aggregation topology (fl/shard_tree.h). Every accepted update
-  /// folds through the canonical 64-lane streaming accumulator regardless of
-  /// the shard count, so the merged bits are identical for any
-  /// shards/fanout setting; the knobs re-partition ownership + accounting.
-  /// When the defense has no norm-outlier rule (the only validation that
-  /// needs the whole cohort's norms at once), the engine streams: each
-  /// accepted update is folded and discarded wave-by-wave, holding O(params)
-  /// server memory instead of the whole cohort. With the outlier rule on it
-  /// buffers deliveries as before — both modes fold in cohort order and
-  /// produce bit-identical globals for the same accepted set.
-  AggregationConfig aggregation;
 };
 
 /// Runs rounds [config.start_round, config.rounds) of fault-tolerant FedAvg:
@@ -102,12 +94,18 @@ struct ResilientConfig {
 /// final global state, which is always all-finite.
 ///
 /// `model` is scratch storage reused across clients; its parameters are
-/// overwritten.
+/// overwritten. `client_data` holds each client's dataset *for this phase*
+/// (training data, forget counterparts, retain counterparts, ...). Throws
+/// std::invalid_argument on a bad config (negative rounds, participation
+/// outside (0, 1] or NaN, start_round outside [0, rounds]).
 nn::ModelState run_resilient(nn::Module& model, nn::ModelState global,
                              const std::vector<data::Dataset>& client_data, ClientUpdate& update,
                              const ResilientConfig& config, Rng& rng, CostMeter& cost,
                              const RoundCallback& callback = {},
                              const ClientStateCallback& client_callback = {},
                              const RoundCursorCallback& cursor_callback = {});
+
+/// Total samples across client datasets.
+std::int64_t total_samples(const std::vector<data::Dataset>& client_data);
 
 }  // namespace quickdrop::fl

@@ -293,7 +293,8 @@ nn::ModelState decode_update_payload(std::span<const std::uint8_t> bytes,
   try {
     if (codec == static_cast<std::uint8_t>(fl::Codec::kNone)) {
       auto state = nn::deserialize_state(body);
-      if (!layout || state.layout()->hash() != layout->hash()) {
+      // A well-formed empty state carries no layout at all.
+      if (!layout || !state.layout() || state.layout()->hash() != layout->hash()) {
         throw NetError(NetErrorCode::kLayoutMismatch, "update state layout mismatch");
       }
       return state;

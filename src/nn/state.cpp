@@ -1,7 +1,5 @@
 #include "nn/state.h"
 
-#include <algorithm>
-#include <array>
 #include <cmath>
 #include <cstring>
 #include <functional>
@@ -13,11 +11,6 @@
 namespace quickdrop::nn {
 namespace {
 
-// Elementwise per-chunk work that weighted_average folds through its on-stack
-// double scratch at a time. Sub-chunk boundaries cannot affect result bits:
-// each element's accumulation chain is independent of where the cuts fall.
-constexpr std::int64_t kWavgChunk = 2048;
-
 // Hardening caps for deserialize_state. Generous (a state of 2^31 floats is
 // 8 GiB) but finite, so a corrupted length field cannot drive a near-infinite
 // allocation before the payload check fires.
@@ -26,8 +19,7 @@ constexpr std::uint64_t kMaxRank = 16;
 constexpr std::int64_t kMaxTotalNumel = std::int64_t{1} << 31;
 
 // Serialized-state format v2: magic ("QDFS" + version), layout hash, shape
-// manifest, one contiguous float payload. v1 (the pre-FlatState stream:
-// count, then per-tensor rank/dims/floats) is still accepted on read.
+// manifest, one contiguous float payload. It is the only format read.
 constexpr std::uint64_t kStateMagicV2 = 0x5144'4653'0000'0002ULL;  // "QDFS" v2
 
 std::uint64_t fnv1a_begin() { return 0xcbf29ce484222325ULL; }
@@ -269,52 +261,6 @@ bool all_finite(const ModelState& state) {
   return true;
 }
 
-ModelState weighted_average(std::span<const ModelState> states, std::span<const float> weights) {
-  if (states.empty() || states.size() != weights.size()) {
-    throw StateError("weighted_average: need one weight per state");
-  }
-  for (std::size_t i = 1; i < states.size(); ++i) {
-    check_compatible(states[0], states[i], "weighted_average");
-  }
-  if (states[0].empty()) return {};
-  ModelState out{states[0].layout()};
-  const std::size_t k = states.size();
-  std::vector<const float*> src(k);
-  std::vector<double> w(k);
-  for (std::size_t i = 0; i < k; ++i) {
-    src[i] = states[i].data().data();
-    w[i] = static_cast<double>(weights[i]);
-  }
-  auto od = out.data();
-  const auto& kern = simd::active();
-  // Parallelized over the layout's hoisted block plan (one partition reused
-  // across clients and rounds). Each element is accumulated in double
-  // precision over the clients in index order: the order is fixed and
-  // independent of both the block cut and the dispatch path, so the result
-  // is bitwise identical at any thread count, and small-weight clients keep
-  // their low-order bits.
-  const auto& bounds = out.layout()->block_bounds();
-  ThreadPool::global().parallel_for(
-      0, out.layout()->num_blocks(), 1,
-      // qdlint: shared-write(each chunk writes its own disjoint od blocks; scratch is per-chunk)
-      [&](std::int64_t b0, std::int64_t b1) {
-        std::array<double, kWavgChunk> scratch;
-        for (std::int64_t b = b0; b < b1; ++b) {
-          const std::int64_t begin = bounds[static_cast<std::size_t>(b)];
-          const std::int64_t end = bounds[static_cast<std::size_t>(b) + 1];
-          for (std::int64_t lo = begin; lo < end; lo += kWavgChunk) {
-            const std::int64_t len = std::min(end - lo, kWavgChunk);
-            scratch.fill(0.0);
-            for (std::size_t i = 0; i < k; ++i) {
-              kern.wavg_fold(scratch.data(), src[i] + lo, w[i], len);
-            }
-            kern.wavg_store(od.data() + lo, scratch.data(), len);
-          }
-        }
-      });
-  return out;
-}
-
 std::int64_t state_numel(const ModelState& state) { return state.numel(); }
 
 std::int64_t state_bytes(const ModelState& state) {
@@ -436,46 +382,12 @@ ModelState deserialize_v2(ByteReader& r) {
   return read_payload(r, std::move(shapes), total);
 }
 
-/// Pre-FlatState stream: count, then per-tensor (rank, dims..., floats).
-ModelState deserialize_v1(ByteReader& r) {
-  const auto count = r.u64("parameter count");
-  if (count > kMaxParams) throw StateError("deserialize_state: parameter count exceeds limit");
-  std::vector<Shape> shapes;
-  std::vector<float> values;
-  std::int64_t total = 0;
-  for (std::uint64_t i = 0; i < count; ++i) {
-    shapes.push_back(r.shape());
-    const auto n = checked_numel(shapes.back());
-    if (total > kMaxTotalNumel - n) {
-      throw StateError("deserialize_state: state size overflows limit");
-    }
-    total += n;
-    const std::size_t nbytes = static_cast<std::size_t>(n) * sizeof(float);
-    if (r.pos + nbytes > r.bytes.size()) {
-      throw StateError("deserialize_state: truncated payload");
-    }
-    const std::size_t old = values.size();
-    values.resize(old + static_cast<std::size_t>(n));
-    std::memcpy(values.data() + old, r.bytes.data() + r.pos, nbytes);
-    r.pos += nbytes;
-  }
-  if (r.pos != r.bytes.size()) throw StateError("deserialize_state: trailing bytes");
-  if (count == 0) return {};
-  return {StateLayout::of_shapes(std::move(shapes)), std::move(values)};
-}
-
 }  // namespace
 
 ModelState deserialize_state(std::span<const std::uint8_t> bytes) {
   ByteReader r{bytes};
-  if (bytes.size() >= 8) {
-    ByteReader peek{bytes};
-    if (peek.u64("magic") == kStateMagicV2) {
-      r.pos = 8;
-      return deserialize_v2(r);
-    }
-  }
-  return deserialize_v1(r);
+  if (r.u64("magic") != kStateMagicV2) throw StateError("deserialize_state: bad magic");
+  return deserialize_v2(r);
 }
 
 }  // namespace quickdrop::nn

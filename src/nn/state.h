@@ -10,8 +10,8 @@
 // Ownership: FlatState owns its buffer; copies are deep (unlike Tensor
 // handles, a copied state never aliases the original). The layout is shared
 // via shared_ptr and immutable, so states derived from one another
-// (zeros_like, subtract, weighted_average, deserialization with a matching
-// hash) reuse a single manifest instead of re-describing shapes per state.
+// (zeros_like, subtract, deserialization with a matching hash) reuse a
+// single manifest instead of re-describing shapes per state.
 //
 // Determinism: every kernel here parallelizes over util::ThreadPool with
 // fixed-block partitioning — block boundaries depend only on the element
@@ -69,9 +69,9 @@ class StateLayout {
   [[nodiscard]] std::uint64_t hash() const { return hash_; }
 
   /// Hoisted fixed-block partition: bounds of kStateBlock-sized blocks over
-  /// [0, total()), computed once per layout and reused by every reduction and
-  /// by weighted_average's fold across clients and rounds (block b spans
-  /// [block_bounds()[b], block_bounds()[b+1])).
+  /// [0, total()), computed once per layout and reused by every reduction
+  /// and by the quantized-transport probe across clients and rounds (block b
+  /// spans [block_bounds()[b], block_bounds()[b+1])).
   [[nodiscard]] const std::vector<std::int64_t>& block_bounds() const { return block_bounds_; }
   [[nodiscard]] std::int64_t num_blocks() const {
     return static_cast<std::int64_t>(block_bounds_.size()) - 1;
@@ -177,23 +177,17 @@ double l2_distance(const ModelState& a, const ModelState& b);
 /// aggregated global states stay finite.
 bool all_finite(const ModelState& state);
 
-/// Sum_i weights[i] * states[i]; weights need not be normalized by callers —
-/// they are used as given (FedAvg passes |D_i|/|D|). Each output entry is
-/// accumulated in double precision over the clients in index order, so many
-/// small-weight clients do not lose low-order bits.
-ModelState weighted_average(std::span<const ModelState> states, std::span<const float> weights);
-
 /// Number of scalar entries.
 std::int64_t state_numel(const ModelState& state);
 
 /// Bytes occupied by the raw float payload (used for storage accounting).
 std::int64_t state_bytes(const ModelState& state);
 
-/// Binary (de)serialization, e.g. for checkpointing experiments. Writes
-/// format v2 (magic + layout hash + shape manifest + contiguous payload);
-/// deserialize_state also accepts the pre-FlatState v1 stream (count,
-/// per-tensor rank/dims/floats) and throws StateError on truncated,
-/// oversized, or shape-inconsistent input — never partial state.
+/// Binary (de)serialization, e.g. for checkpointing experiments. Format v2:
+/// magic + layout hash + shape manifest + contiguous payload, the only
+/// format deserialize_state reads. It throws StateError on a missing magic
+/// and on truncated, oversized, or shape-inconsistent input — never partial
+/// state.
 std::vector<std::uint8_t> serialize_state(const ModelState& state);
 ModelState deserialize_state(std::span<const std::uint8_t> bytes);
 

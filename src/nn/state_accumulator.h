@@ -1,31 +1,29 @@
 // Streaming weighted-average accumulator over the flat parameter plane.
 //
-// `weighted_average` (state.h) is the *batch* merge: it needs every client
-// state alive at once, so server memory grows linearly with cohort size. The
-// StateAccumulator is the streaming counterpart: callers fold one update at a
-// time into per-lane double accumulators and discard it, so a round's peak
-// memory is O(lanes × params) regardless of how many clients report.
+// A batch merge needs every client state alive at once, so server memory
+// grows linearly with cohort size. The StateAccumulator streams instead:
+// callers fold one update at a time into per-lane double accumulators and
+// discard it, so a round's peak memory is O(lanes × params) regardless of how
+// many clients report.
 //
 // Canonical fold order (the bitwise-determinism contract, DESIGN.md §16):
 //
 //   * The accumulator owns a fixed set of `lanes()` leaf lanes (kLanes == 64
 //     canonically). Each fold targets one lane; within a lane, elements
-//     accumulate in fold-call order through the same `wavg_fold` kernel chain
-//     as weighted_average (acc[i] += w * (double)x[i]).
+//     accumulate in fold-call order through the `wavg_fold` kernel chain
+//     (acc[i] += w * (double)x[i]).
 //   * finalize() combines the lanes bottom-up through a FIXED binary tree
 //     (stride 1, 2, 4, ... pairwise double adds). A pair with one absent side
 //     propagates the present buffer untouched — no arithmetic against zeros —
 //     so the result bits depend only on (lane, fold order within lane), never
-//     on how many lanes happen to be populated or how lanes are grouped into
-//     shards above this layer (fl/shard_tree.h groups lanes into aligned
-//     subtrees, which the fixed tree merges identically for any shard count).
+//     on how many lanes happen to be populated.
 //   * Every elementwise pass parallelizes over the thread pool; per-element
 //     chains are independent of the chunk cut, so results are bitwise
 //     identical at any --threads.
 //
-// A single-lane accumulator fed in client index order reproduces
-// weighted_average's bits exactly (same per-element fold chain, same store
-// rounding) — tests/nn/state_accumulator_test.cpp pins this.
+// A single-lane accumulator fed in client index order reproduces the batch
+// weighted_average oracle's bits exactly (same per-element fold chain, same
+// store rounding) — tests/nn/state_accumulator_test.cpp pins this.
 #pragma once
 
 #include <cstdint>
@@ -38,8 +36,8 @@ namespace quickdrop::nn {
 
 class StateAccumulator {
  public:
-  /// Canonical leaf-lane count: the engine always folds through 64 lanes so
-  /// the merge bits are invariant under the --shards topology knob.
+  /// Canonical leaf-lane count: the round engine always folds through 64
+  /// lanes (fl/aggregator.h).
   static constexpr int kLanes = 64;
 
   /// `lanes` must be a power of two in [1, kLanes]. Lane buffers are
@@ -64,14 +62,13 @@ class StateAccumulator {
 
   /// True when `lane` has received at least one fold since reset().
   [[nodiscard]] bool lane_used(int lane) const;
-  /// Whole-state fold() calls since reset() (fold_range is not counted; the
-  /// shard tree tracks per-client counts itself).
+  /// Whole-state fold() calls since reset() (fold_range is not counted).
   [[nodiscard]] std::int64_t folds() const { return folds_; }
 
   /// Collapses the lane tree and rounds the root to float: o[i] = (float)acc[i].
-  /// Bitwise-equal to weighted_average for a single-lane accumulator fed in
-  /// index order. Throws StateError when nothing was folded. The accumulator
-  /// is consumed: fold again only after reset().
+  /// Bitwise-equal to the batch weighted_average oracle for a single-lane
+  /// accumulator fed in index order. Throws StateError when nothing was
+  /// folded. The accumulator is consumed: fold again only after reset().
   ModelState finalize();
 
   /// Collapse, then o[i] = (float)(acc[i] * scale) in one pass — the

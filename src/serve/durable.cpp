@@ -11,12 +11,10 @@ namespace {
 // because the verified-SGA path legitimately has an EMPTY rng state (its
 // iterations re-derive RNG from the coordinator seed), which the checkpoint
 // cursor format rejects.
-// v2 appends the shard topology (shards, fanout) the cursor was captured
-// under, so a resumed service can reject a topology switch mid-request. v1
-// records (pre-shard-tree builds) are rejected with a clear error rather than
-// silently resumed under assumed defaults.
-constexpr std::uint64_t kCursorMagic = 0x51445543'00000002ULL;  // "QDUC" v2
-constexpr std::uint64_t kCursorMagicV1 = 0x51445543'00000001ULL;
+// Layout: magic, phase, rounds_done, rng length + bytes, checkpoint length +
+// bytes. Records with any other magic (including the v1 and v2 layouts of
+// earlier builds) are refused rather than resumed under a guessed layout.
+constexpr std::uint64_t kCursorMagic = 0x51445543'00000003ULL;  // "QDUC" v3
 
 void put_u64(std::vector<std::uint8_t>& out, std::uint64_t v) {
   for (int i = 0; i < 8; ++i) out.push_back(static_cast<std::uint8_t>(v >> (8 * i)));
@@ -51,8 +49,6 @@ core::UnlearnCursorCallback durable_cursor_callback(store::Store& store,
     put_u64(body, static_cast<std::uint64_t>(cursor.rounds_done));
     put_u64(body, cursor.rng_state.size());
     body.insert(body.end(), cursor.rng_state.begin(), cursor.rng_state.end());
-    put_u64(body, static_cast<std::uint64_t>(cursor.shards));
-    put_u64(body, static_cast<std::uint64_t>(cursor.shard_fanout));
     put_u64(body, cp_bytes.size());
     body.insert(body.end(), cp_bytes.begin(), cp_bytes.end());
     const std::uint64_t layout_hash = core::checkpoint_layout_hash(cp);
@@ -67,14 +63,10 @@ std::optional<DurableCursor> load_durable_cursor(store::Store& store,
   if (!key) return std::nullopt;
   const auto body = store.get(*key);
   std::size_t pos = 0;
-  const std::uint64_t magic = get_u64(body, pos);
-  if (magic == kCursorMagicV1) {
+  if (get_u64(body, pos) != kCursorMagic) {
     throw store::StoreError(
-        "durable cursor record: v1 record lacks shard topology; "
-        "clear stale cursors before resuming with this build");
-  }
-  if (magic != kCursorMagic) {
-    throw store::StoreError("durable cursor record: bad magic");
+        "durable cursor record: unknown format; clear stale cursors before resuming with this "
+        "build");
   }
   DurableCursor out;
   out.cursor.phase = static_cast<int>(get_u64(body, pos));
@@ -93,16 +85,6 @@ std::optional<DurableCursor> load_durable_cursor(store::Store& store,
   out.cursor.rng_state.assign(body.begin() + static_cast<std::ptrdiff_t>(pos),
                               body.begin() + static_cast<std::ptrdiff_t>(pos + rng_len));
   pos += static_cast<std::size_t>(rng_len);
-  const std::uint64_t shards = get_u64(body, pos);
-  const std::uint64_t fanout = get_u64(body, pos);
-  if (shards < 1 || shards > 64 || (shards & (shards - 1)) != 0) {
-    throw store::StoreError("durable cursor record: bad shard count");
-  }
-  if (fanout < 2 || fanout > 64) {
-    throw store::StoreError("durable cursor record: bad shard fanout");
-  }
-  out.cursor.shards = static_cast<int>(shards);
-  out.cursor.shard_fanout = static_cast<int>(fanout);
   const std::uint64_t cp_len = get_u64(body, pos);
   if (body.size() - pos != cp_len) {
     throw store::StoreError("durable cursor record: bad checkpoint length");

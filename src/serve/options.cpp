@@ -30,8 +30,6 @@ ServeOptions parse_serve_options(CliFlags& flags) {
   o.dump_trace = flags.get_string("dump-trace", o.dump_trace);
   o.json_path = flags.get_string("json", o.json_path);
   o.out = flags.get_string("out", o.out);
-  o.shards = flags.get_int("shards", o.shards);
-  o.shard_fanout = flags.get_int("shard-fanout", o.shard_fanout);
   o.transport = flags.get_string("transport", o.transport);
   o.listen_port = flags.get_int("listen", o.listen_port);
   o.wire_listen_port = flags.get_int("wire-listen", o.wire_listen_port);
@@ -59,15 +57,6 @@ ServeOptions parse_serve_options(CliFlags& flags) {
   }
   if (o.wire_bandwidth < 0.0) {
     throw OptionsError("wire-bandwidth", "bytes/second must be >= 0 (0 = no breakdown)");
-  }
-  if (flags.has("shards") &&
-      (o.shards < 1 || o.shards > 64 || (o.shards & (o.shards - 1)) != 0)) {
-    throw OptionsError("shards", "must be a power of two in [1, 64], got " +
-                                     std::to_string(o.shards));
-  }
-  if (flags.has("shard-fanout") && (o.shard_fanout < 2 || o.shard_fanout > 64)) {
-    throw OptionsError("shard-fanout",
-                       "must be in [2, 64], got " + std::to_string(o.shard_fanout));
   }
   try {
     (void)policy_from_name(o.policy);

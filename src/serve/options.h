@@ -53,12 +53,6 @@ struct ServeOptions {
   std::string dump_trace;
   std::string json_path;
   std::string out;
-  // Aggregation topology override (fl/shard_tree.h). 0 = inherit the
-  // checkpoint's recorded topology. The fold bits are shard-count-invariant,
-  // so overriding is safe for fresh requests — but a mid-request --resume
-  // under a different topology is rejected by the coordinator.
-  int shards = 0;
-  int shard_fanout = 0;
   // Network front-end.
   std::string transport = "inproc";  ///< "inproc" or "loopback"
   int listen_port = -1;              ///< --listen PORT (HTTP mode), -1 = off

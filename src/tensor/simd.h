@@ -47,12 +47,12 @@ struct Kernels {
   /// difference is formed first, then widened — matches l2_norm over
   /// subtract(a, b) bit-for-bit.
   double (*sum_squared_diff)(const float* a, const float* b, std::int64_t n);
-  /// acc[i] += w * (double)x[i] — one client's fold into the double
-  /// accumulator of weighted_average.
+  /// acc[i] += w * (double)x[i] — one client's fold into a double
+  /// accumulator lane (nn/state_accumulator.h).
   void (*wavg_fold)(double* acc, const float* x, double w, std::int64_t n);
   /// o[i] = (float)acc[i] — round the finished accumulator to float.
   void (*wavg_store)(float* o, const double* acc, std::int64_t n);
-  /// acc[i] += x[i] — one pairwise combine step of the shard-tree lane merge
+  /// acc[i] += x[i] — one pairwise combine step of the accumulator lane merge
   /// (nn/state_accumulator.h). Pure double add, elementwise: parity is
   /// structural.
   void (*dadd)(double* acc, const double* x, std::int64_t n);

@@ -10,7 +10,7 @@
 
 #include "data/partition.h"
 #include "data/synthetic.h"
-#include "fl/fedavg.h"
+#include "fl/resilient.h"
 #include "nn/convnet.h"
 #include "util/thread_pool.h"
 
@@ -86,8 +86,8 @@ FaultRates mixed_rates() {
   return rates;
 }
 
-FedAvgConfig faulty_config(const Fixture& f) {
-  FedAvgConfig cfg{.rounds = 5, .participation = 0.75f};
+ResilientConfig faulty_config(const Fixture& f) {
+  ResilientConfig cfg{.rounds = 5, .participation = 0.75f};
   cfg.faults = FaultPlan(41, mixed_rates());
   cfg.defense.norm_outlier_multiplier = 8.0f;
   cfg.defense.min_quorum = 0.25f;
@@ -98,7 +98,7 @@ FedAvgConfig faulty_config(const Fixture& f) {
 
 // One full run at the given thread count; returns (state, cost) and appends
 // every client callback as (round, client) to `order` if provided.
-std::pair<nn::ModelState, CostMeter> run_at(const Fixture& f, FedAvgConfig cfg, int threads,
+std::pair<nn::ModelState, CostMeter> run_at(const Fixture& f, ResilientConfig cfg, int threads,
                                             std::vector<std::pair<int, int>>* order = nullptr) {
   set_num_threads(threads);
   SgdLocalUpdate update(2, 8, 0.1f);
@@ -110,13 +110,13 @@ std::pair<nn::ModelState, CostMeter> run_at(const Fixture& f, FedAvgConfig cfg, 
       order->emplace_back(round, client);
     };
   }
-  auto state = run_fedavg(*f.model, f.init, f.clients, update, cfg, rng, cost, {}, client_cb);
+  auto state = run_resilient(*f.model, f.init, f.clients, update, cfg, rng, cost, {}, client_cb);
   return {std::move(state), cost};
 }
 
 TEST(ParallelRoundTest, BitIdenticalAcrossThreadCountsUnderFaults) {
   Fixture f;
-  const FedAvgConfig cfg = faulty_config(f);
+  const ResilientConfig cfg = faulty_config(f);
   ThreadGuard guard;
   std::vector<std::pair<int, int>> order1;
   const auto [serial, cost1] = run_at(f, cfg, 1, &order1);
@@ -145,8 +145,8 @@ TEST(ParallelRoundTest, FactoryPathMatchesLegacySerialEngine) {
   // The concurrent engine (factory set) must reproduce the legacy path
   // (factory unset) bitwise, even while actually running multi-threaded.
   Fixture f;
-  FedAvgConfig with = faulty_config(f);
-  FedAvgConfig without = with;
+  ResilientConfig with = faulty_config(f);
+  ResilientConfig without = with;
   without.client_model_factory = nullptr;
   ThreadGuard guard;
   const auto [legacy, cost_a] = run_at(f, without, 8);
@@ -159,7 +159,7 @@ TEST(ParallelRoundTest, ResumeCursorInvariantAcrossThreadCounts) {
   // Kill a 1-thread run after round 2, resume the tail with 8 threads: the
   // spliced run must land exactly on the 8-thread uninterrupted final state.
   Fixture f;
-  const FedAvgConfig cfg = faulty_config(f);
+  const ResilientConfig cfg = faulty_config(f);
   ThreadGuard guard;
 
   set_num_threads(1);
@@ -168,29 +168,29 @@ TEST(ParallelRoundTest, ResumeCursorInvariantAcrossThreadCounts) {
   Rng rng1(29);
   nn::ModelState cursor_state;
   std::vector<std::uint8_t> cursor_rng;
-  const auto full = run_fedavg(*f.model, f.init, f.clients, update1, cfg, rng1, cost1, {}, {},
-                               [&](int round, const nn::ModelState& g, const Rng& r) {
-                                 if (round == 2) {
-                                   cursor_state = g;
-                                   cursor_rng = r.serialize();
-                                 }
-                               });
+  const auto full = run_resilient(*f.model, f.init, f.clients, update1, cfg, rng1, cost1, {}, {},
+                                  [&](int round, const nn::ModelState& g, const Rng& r) {
+                                    if (round == 2) {
+                                      cursor_state = g;
+                                      cursor_rng = r.serialize();
+                                    }
+                                  });
   ASSERT_FALSE(cursor_rng.empty());
 
   set_num_threads(8);
   SgdLocalUpdate update2(2, 8, 0.1f);
   CostMeter cost2;
   Rng rng2 = Rng::deserialize(cursor_rng);
-  FedAvgConfig resume = cfg;
+  ResilientConfig resume = cfg;
   resume.start_round = 3;
   const auto resumed =
-      run_fedavg(*f.model, cursor_state, f.clients, update2, resume, rng2, cost2);
+      run_resilient(*f.model, cursor_state, f.clients, update2, resume, rng2, cost2);
   expect_states_bitwise_equal(resumed, full);
 }
 
 TEST(ParallelRoundTest, MoreThreadsThanClientsIsSafe) {
   Fixture f;
-  FedAvgConfig cfg{.rounds = 2, .participation = 1.0f};
+  ResilientConfig cfg{.rounds = 2, .participation = 1.0f};
   cfg.client_model_factory = f.factory();
   ThreadGuard guard;
   const auto [serial, cost1] = run_at(f, cfg, 1);
@@ -202,7 +202,7 @@ TEST(ParallelRoundTest, MoreThreadsThanClientsIsSafe) {
 TEST(ParallelRoundTest, SingleClientCohortRunsSerially) {
   Fixture f;
   // participation low enough that each round samples exactly one client.
-  FedAvgConfig cfg{.rounds = 3, .participation = 1.0f / 6.0f};
+  ResilientConfig cfg{.rounds = 3, .participation = 1.0f / 6.0f};
   cfg.client_model_factory = f.factory();
   ThreadGuard guard;
   const auto [serial, cost1] = run_at(f, cfg, 1);

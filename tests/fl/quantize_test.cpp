@@ -14,8 +14,8 @@
 
 #include "data/partition.h"
 #include "data/synthetic.h"
-#include "fl/fedavg.h"
 #include "fl/quantize.h"
+#include "fl/resilient.h"
 #include "nn/convnet.h"
 #include "nn/state.h"
 
@@ -210,16 +210,16 @@ struct Federation {
     init = nn::state_of(*scratch);  // scratch is overwritten by every run
   }
 
-  nn::ModelState run(const FedAvgConfig& cfg, CostMeter& cost, std::uint64_t seed) {
+  nn::ModelState run(const ResilientConfig& cfg, CostMeter& cost, std::uint64_t seed) {
     SgdLocalUpdate update(2, 8, 0.1f);
     Rng rng(seed);
-    return run_fedavg(*scratch, init, clients, update, cfg, rng, cost);
+    return run_resilient(*scratch, init, clients, update, cfg, rng, cost);
   }
 };
 
 TEST(QuantizedTransport, RunsAreBitwiseDeterministic) {
   Federation f;
-  FedAvgConfig cfg{.rounds = 3, .participation = 1.0f};
+  ResilientConfig cfg{.rounds = 3, .participation = 1.0f};
   cfg.transport.codec = Codec::kInt8;
   CostMeter c1, c2;
   const auto s1 = f.run(cfg, c1, 5);
@@ -234,7 +234,7 @@ TEST(QuantizedTransport, RunsAreBitwiseDeterministic) {
 
 TEST(QuantizedTransport, CutsUploadBytes) {
   Federation f;
-  FedAvgConfig cfg{.rounds = 2, .participation = 1.0f};
+  ResilientConfig cfg{.rounds = 2, .participation = 1.0f};
   CostMeter raw_cost;
   f.run(cfg, raw_cost, 5);
   cfg.transport.codec = Codec::kInt8;
@@ -249,7 +249,7 @@ TEST(QuantizedTransport, CutsUploadBytes) {
 
 TEST(QuantizedTransport, CorruptedUploadsStillQuarantined) {
   Federation f;
-  FedAvgConfig cfg{.rounds = 4, .participation = 1.0f};
+  ResilientConfig cfg{.rounds = 4, .participation = 1.0f};
   cfg.transport.codec = Codec::kInt8;
   FaultRates rates;
   rates.corrupt_nan = 0.5f;

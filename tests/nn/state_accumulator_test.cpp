@@ -1,8 +1,8 @@
 // Streaming StateAccumulator (nn/state_accumulator.h): single-lane folds
-// reproduce nn::weighted_average bit for bit, the canonical 64-lane combine
-// is bitwise-invariant across thread counts, fold_range is per-element
-// identical to fold, and the lifecycle contract (finalize consumes, reset
-// re-arms) is enforced.
+// reproduce the batch weighted_average oracle bit for bit, the canonical
+// 64-lane combine is bitwise-invariant across thread counts, fold_range is
+// per-element identical to fold, and the lifecycle contract (finalize
+// consumes, reset re-arms) is enforced.
 
 #include <gtest/gtest.h>
 
@@ -14,6 +14,7 @@
 #include <vector>
 
 #include "nn/state.h"
+#include "weighted_average_oracle.h"
 #include "nn/state_accumulator.h"
 #include "util/thread_pool.h"
 
@@ -64,7 +65,7 @@ TEST(StateAccumulator, SingleLaneMatchesWeightedAverageBitwise) {
     states.push_back(make_state(layout, 0.1f * static_cast<float>(c)));
     weights.push_back(0.05f + 0.11f * static_cast<float>(c));
   }
-  const ModelState batch = quickdrop::nn::weighted_average(states, weights);
+  const ModelState batch = quickdrop::nn::oracle::weighted_average(states, weights);
 
   for (const int threads : {1, 4, 8}) {
     PoolScope pool(threads);

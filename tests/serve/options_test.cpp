@@ -79,24 +79,6 @@ TEST(ServeOptions, RejectsOutOfRangeValues) {
   expect_serve_error({"--transport=tcp"}, "transport");
 }
 
-TEST(ServeOptions, ShardTopologyOverrideValidated) {
-  // Unset flags inherit the checkpoint's recorded topology (sentinel 0).
-  const auto inherit = parse_serve({});
-  EXPECT_EQ(inherit.shards, 0);
-  EXPECT_EQ(inherit.shard_fanout, 0);
-
-  const auto o = parse_serve({"--shards=16", "--shard-fanout=4"});
-  EXPECT_EQ(o.shards, 16);
-  EXPECT_EQ(o.shard_fanout, 4);
-
-  expect_serve_error({"--shards=3"}, "shards");    // not a power of two
-  expect_serve_error({"--shards=0"}, "shards");
-  expect_serve_error({"--shards=128"}, "shards");  // above the 64-lane canon
-  expect_serve_error({"--shards=-4"}, "shards");
-  expect_serve_error({"--shard-fanout=1"}, "shard-fanout");
-  expect_serve_error({"--shard-fanout=65"}, "shard-fanout");
-}
-
 TEST(ServeOptions, MaxBatchRequiresCoalescePolicy) {
   expect_serve_error({"--max-batch=4"}, "max-batch");
   expect_serve_error({"--policy=priority", "--max-batch=4"}, "max-batch");

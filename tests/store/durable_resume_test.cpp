@@ -263,43 +263,45 @@ TEST(DurableResumeTest, SequentialUnlearningThroughStoreMatchesUninterrupted) {
   EXPECT_EQ(qd->forgotten_classes(), qd_full->forgotten_classes());
 }
 
-TEST(DurableResumeTest, CursorRecordsShardTopologyAndRejectsASwitch) {
-  // The v2 cursor record carries the shard-tree topology the request was
-  // folding under; a restarted service configured differently must refuse to
-  // resume rather than silently continue under re-partitioned accounting.
+TEST(DurableResumeTest, StaleCursorRecordIsRefusedUntilCleared) {
+  // A cursor record in an earlier build's layout (the v2 magic carried two
+  // extra words) must not be parsed under today's layout: loading refuses it
+  // and names the remedy, and clearing the stale cursors lets a fresh request
+  // proceed.
   ThreadGuard guard;
   set_num_threads(1);
   const auto deployment = train_once();
   const auto hash = core::checkpoint_layout_hash(deployment);
-  const auto path = temp_store("topology.qds");
+  store::Store store(temp_store("stale_cursor.qds"));
+  auto run_request = [&] {
+    auto qd = restored_coordinator(deployment);
+    Executor(qd, CostModel{})
+        .execute(deployment.global, {class_request(2)}, durable_cursor_callback(store, *qd));
+  };
+  run_request();
 
-  auto cfg = MiniFederation::config();
-  cfg.aggregation = {.shards = 4, .fanout = 4};
-  MiniFederation fed;
-  auto qd = std::make_shared<core::QuickDrop>(fed.factory, fed.clients, cfg, 99);
-  qd->load_stores(core::restore_stores(deployment));
-  store::Store store(path);
-  Executor(qd, CostModel{})
-      .execute(deployment.global, {class_request(2)}, durable_cursor_callback(store, *qd));
+  const auto key = store.latest(hash, core::kRecordUnlearnCursor);
+  ASSERT_TRUE(key.has_value());
+  auto body = store.get(*key);
+  constexpr std::uint64_t kCursorMagicV2 = 0x51445543'00000002ULL;  // "QDUC" v2
+  for (std::size_t i = 0; i < 8; ++i) {
+    body[i] = static_cast<std::uint8_t>(kCursorMagicV2 >> (8 * i));
+  }
+  store.put(*key, body);
+  store.commit();
+  try {
+    (void)load_durable_cursor(store, hash);
+    ADD_FAILURE() << "a v2 cursor record was resumed";
+  } catch (const store::StoreError& e) {
+    EXPECT_NE(std::string(e.what()).find("clear stale cursors"), std::string::npos) << e.what();
+  }
 
-  const auto durable = load_durable_cursor(store, hash);
-  ASSERT_TRUE(durable.has_value());
-  EXPECT_EQ(durable->cursor.shards, 4);
-  EXPECT_EQ(durable->cursor.shard_fanout, 4);
-
-  // Same cursor, a coordinator back on the default 1-shard topology: reject.
-  auto qd_other = restored_coordinator(durable->checkpoint);
-  EXPECT_THROW(Executor(qd_other, CostModel{})
-                   .execute(durable->checkpoint.global, {class_request(2)}, {},
-                            &durable->cursor),
-               std::invalid_argument);
-
-  // Matching topology resumes fine.
-  auto qd_same = std::make_shared<core::QuickDrop>(fed.factory, fed.clients, cfg, 99);
-  qd_same->load_stores(core::restore_stores(durable->checkpoint));
-  EXPECT_NO_THROW(Executor(qd_same, CostModel{})
-                      .execute(durable->checkpoint.global, {class_request(2)}, {},
-                               &durable->cursor));
+  clear_durable_cursors(store, hash);
+  EXPECT_FALSE(load_durable_cursor(store, hash).has_value());
+  run_request();
+  const auto fresh = load_durable_cursor(store, hash);
+  ASSERT_TRUE(fresh.has_value());
+  EXPECT_EQ(fresh->cursor.phase, core::UnlearnCursor::kPhaseRecover);
 }
 
 }  // namespace

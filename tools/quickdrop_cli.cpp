@@ -82,14 +82,6 @@ struct FedSpec {
   /// transport. Validated eagerly in from_flags/from_metadata.
   std::string quantize = "off";
 
-  /// Shard-tree aggregation topology (fl/shard_tree.h), persisted so every
-  /// later phase folds under the same topology. The fold bits are
-  /// shard-count-invariant; topology only changes accounting and peak
-  /// memory, but we persist it so resumed mid-request cursors can detect a
-  /// switch. Validated eagerly in from_flags/from_metadata.
-  int shards = 1;
-  int shard_fanout = 8;
-
   static FedSpec from_flags(qd::CliFlags& flags) {
     FedSpec s;
     s.dataset = flags.get_string("dataset", s.dataset);
@@ -115,9 +107,6 @@ struct FedSpec {
     s.outlier_mult = flags.get_double("outlier-mult", s.outlier_mult);
     s.quantize = flags.get_string("quantize-updates", s.quantize);
     qd::fl::codec_from_string(s.quantize);  // validate early, with a clear error
-    s.shards = flags.get_int("shards", s.shards);
-    s.shard_fanout = flags.get_int("shard-fanout", s.shard_fanout);
-    qd::fl::AggregationConfig{.shards = s.shards, .fanout = s.shard_fanout}.validate();
     return s;
   }
 
@@ -142,9 +131,7 @@ struct FedSpec {
             {"quorum", qd::fmt_double(quorum, 6)},
             {"max_attempts", std::to_string(max_attempts)},
             {"outlier_mult", qd::fmt_double(outlier_mult, 6)},
-            {"quantize", quantize},
-            {"shards", std::to_string(shards)},
-            {"shard_fanout", std::to_string(shard_fanout)}};
+            {"quantize", quantize}};
   }
 
   static FedSpec from_metadata(const std::map<std::string, std::string>& m) {
@@ -184,9 +171,6 @@ struct FedSpec {
     s.outlier_mult = std::stod(get_or("outlier_mult", "8"));
     s.quantize = get_or("quantize", "off");  // pre-quantization checkpoints
     qd::fl::codec_from_string(s.quantize);
-    s.shards = std::stoi(get_or("shards", "1"));  // pre-shard-tree checkpoints
-    s.shard_fanout = std::stoi(get_or("shard_fanout", "8"));
-    qd::fl::AggregationConfig{.shards = s.shards, .fanout = s.shard_fanout}.validate();
     return s;
   }
 };
@@ -244,7 +228,6 @@ Federation build(const FedSpec& spec) {
   cfg.defense.min_quorum = static_cast<float>(spec.quorum);
   cfg.defense.max_round_attempts = spec.max_attempts;
   cfg.transport.codec = qd::fl::codec_from_string(spec.quantize);
-  cfg.aggregation = qd::fl::AggregationConfig{.shards = spec.shards, .fanout = spec.shard_fanout};
   fed.quickdrop = std::make_unique<qd::core::QuickDrop>(fed.factory, std::move(clients), cfg,
                                                         spec.seed);
   fed.eval_model = fed.factory();
@@ -452,11 +435,6 @@ int cmd_serve(qd::CliFlags& flags) {
   auto fed = build(FedSpec::from_metadata(cp.metadata));
   fed.quickdrop->load_stores(qd::core::restore_stores(cp));
   qd::serve::validate_resume_policy(options, cp.metadata);
-  if (options.shards > 0 || options.shard_fanout > 0) {
-    fed.quickdrop->set_aggregation(qd::fl::AggregationConfig{
-        .shards = options.shards > 0 ? options.shards : fed.spec.shards,
-        .fanout = options.shard_fanout > 0 ? options.shard_fanout : fed.spec.shard_fanout});
-  }
 
   qd::serve::ServiceConfig config;
   config.policy = qd::serve::policy_from_name(options.policy);
@@ -625,7 +603,6 @@ int usage() {
                "          [--fault-crash P] [--fault-straggler P] [--fault-corrupt P]\n"
                "          [--fault-stale P] [--fault-seed S] [--quorum F] [--max-attempts N]\n"
                "          [--outlier-mult M] [--quantize-updates off|int8|bf16]\n"
-               "          [--shards N] [--shard-fanout F]\n"
                "          [--checkpoint-every K] [--resume]\n"
                "  eval    --checkpoint FILE\n"
                "  unlearn --checkpoint FILE (--class C | --client I) --out FILE\n"
@@ -633,7 +610,7 @@ int usage() {
                "  serve   --checkpoint FILE [--trace FILE | --requests N --arrival-rate SECS]\n"
                "          [--policy fifo|priority|coalesce] [--max-batch N] [--trace-seed S]\n"
                "          [--dump-trace FILE] [--json FILE] [--out FILE] [--resume]\n"
-               "          [--sec-per-round S] [--sec-per-grad S] [--shards N] [--shard-fanout F]\n"
+               "          [--sec-per-round S] [--sec-per-grad S]\n"
                "          [--transport inproc|loopback] [--wire-bandwidth BYTES/S]\n"
                "          [--listen PORT [--tenants name=token,...]] [--wire-listen PORT]\n"
                "  replay  --connect HOST:PORT --checkpoint FILE --trace FILE [--tenant NAME]\n"
