@@ -24,27 +24,8 @@ if [ ! -x "$QDLINT" ]; then
   }
 fi
 echo "== qdlint =="
-# Cold-vs-warm cache check: a pristine cache and a fully primed one must
-# produce byte-identical JSON — a cache that changes findings is corrupt by
-# definition (DESIGN.md §14).
-CACHE="$BUILD/qdlint.lint_sh.cache"
-rm -f "$CACHE"
-"$QDLINT" --root "$REPO" --cache "$CACHE" --json > "$BUILD/qdlint.cold.json"
-cold_exit=$?
-"$QDLINT" --root "$REPO" --cache "$CACHE" --json > "$BUILD/qdlint.warm.json"
-warm_exit=$?
-if [ "$cold_exit" -ge 2 ] || [ "$warm_exit" -ge 2 ]; then
-  echo "lint.sh: qdlint crashed (cold=$cold_exit warm=$warm_exit)" >&2
-  status=1
-elif ! cmp -s "$BUILD/qdlint.cold.json" "$BUILD/qdlint.warm.json"; then
-  echo "lint.sh: FAIL — warm-cache findings differ from cold run:" >&2
-  diff "$BUILD/qdlint.cold.json" "$BUILD/qdlint.warm.json" | head -20 >&2
-  status=1
-else
-  echo "cold-vs-warm cache: byte-identical JSON"
-fi
 # The enforced gate: findings minus the (shrink-only) baseline must be empty.
-"$QDLINT" --root "$REPO" --cache "$CACHE" --baseline "$REPO/qdlint_baseline.txt" || status=1
+"$QDLINT" --root "$REPO" --baseline "$REPO/qdlint_baseline.txt" || status=1
 
 # --- clang-tidy (when available) -------------------------------------------
 if command -v clang-tidy >/dev/null 2>&1; then

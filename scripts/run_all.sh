@@ -13,16 +13,6 @@ ctest --test-dir "$BUILD" 2>&1 | tee test_output.txt
 scripts/lint.sh "$BUILD" 2>&1 | tee lint_output.txt
 echo "lint pass exit: ${PIPESTATUS[0]}" | tee -a lint_output.txt
 
-# SARIF artifact: the same findings in the interchange format code-review
-# tooling ingests (uploaded alongside the other report files).
-"$BUILD"/tools/qdlint/qdlint --root "$REPO" --cache "$BUILD/qdlint.cache" \
-  --sarif qdlint_report.sarif >/dev/null
-if [ -f qdlint_report.sarif ]; then
-  echo "qdlint SARIF artifact: qdlint_report.sarif written" | tee -a lint_output.txt
-else
-  echo "qdlint SARIF artifact: MISSING qdlint_report.sarif" | tee -a lint_output.txt
-fi
-
 # Sanitizer pass: rebuild the fault-tolerance-critical suites (fl + core)
 # plus the crash-safe store (engine fuzz + kill-point sweep — the recovery
 # scan parses attacker-controlled bytes, exactly where UB would hide) with
@@ -126,14 +116,6 @@ if [ -f BENCH_store.json ]; then
   echo "store bench: BENCH_store.json written" | tee -a bench_output.txt
 else
   echo "store bench: MISSING BENCH_store.json" | tee -a bench_output.txt
-fi
-
-# Likewise the qdlint microbenchmark (bench/ext_qdlint): cold-vs-warm cache
-# whole-tree lint at 1/4/8 threads over a synthetic repo — see DESIGN.md §14.
-if [ -f BENCH_qdlint.json ]; then
-  echo "qdlint bench: BENCH_qdlint.json written" | tee -a bench_output.txt
-else
-  echo "qdlint bench: MISSING BENCH_qdlint.json" | tee -a bench_output.txt
 fi
 
 # Likewise the network front-end bench (bench/ext_net): wire-codec frame

@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cstring>
 #include <fstream>
+#include <limits>
 #include <stdexcept>
 
 #include "util/atomic_file.h"
@@ -21,6 +22,11 @@ constexpr std::uint64_t kMagicV4 = 0x51444350'00000004ULL;
 /// manifest); far above any model this repo trains but finite, so a corrupt
 /// length cannot drive a huge allocation.
 constexpr std::uint64_t kMaxStateBlob = std::uint64_t{1} << 33;
+
+/// Largest rank accepted for a tensor or an image shape.
+constexpr std::uint64_t kMaxRank = 8;
+constexpr std::uint64_t kMaxInt64 =
+    static_cast<std::uint64_t>(std::numeric_limits<std::int64_t>::max());
 
 /// FNV-1a over a byte range; the checkpoint's integrity checksum.
 std::uint64_t fnv1a(std::span<const std::uint8_t> bytes) {
@@ -82,13 +88,31 @@ class Reader {
   }
   Tensor tensor() {
     const auto rank = u64();
-    if (rank > 8) throw std::invalid_argument("checkpoint: absurd tensor rank");
+    if (rank > kMaxRank) throw std::invalid_argument("checkpoint: absurd tensor rank");
+    // Validate the shape before the Tensor allocates: every dim is a
+    // non-negative int64, no product of dims overflows, and the payload fits
+    // in the bytes that are left.
     Shape shape(rank);
-    for (auto& d : shape) d = static_cast<std::int64_t>(u64());
+    std::uint64_t nonzero_product = 1;
+    bool empty = false;
+    for (auto& d : shape) {
+      const auto dim = u64();
+      if (dim == 0) {
+        empty = true;
+      } else if (dim > kMaxInt64 / nonzero_product) {
+        throw std::invalid_argument("checkpoint: tensor shape out of range");
+      } else {
+        nonzero_product *= dim;
+      }
+      d = static_cast<std::int64_t>(dim);
+    }
+    const std::uint64_t numel = empty ? 0 : nonzero_product;
+    if (numel > (bytes_.size() - pos_) / sizeof(float)) {
+      throw std::invalid_argument("checkpoint: truncated");
+    }
     Tensor t(shape);
-    const auto nbytes = static_cast<std::size_t>(t.numel()) * sizeof(float);
-    if (pos_ + nbytes > bytes_.size()) throw std::invalid_argument("checkpoint: truncated");
-    std::memcpy(t.data().data(), bytes_.data() + pos_, nbytes);
+    const auto nbytes = static_cast<std::size_t>(numel) * sizeof(float);
+    if (nbytes > 0) std::memcpy(t.data().data(), bytes_.data() + pos_, nbytes);
     pos_ += nbytes;
     return t;
   }
@@ -205,7 +229,6 @@ Checkpoint deserialize_checkpoint(std::span<const std::uint8_t> bytes) {
     if (params > 1 << 20) throw std::invalid_argument("checkpoint: bad parameter count");
     // NOLINTNEXTLINE(qdlint-api-flatstate): transient list for the legacy format only
     std::vector<Tensor> tensors;
-    tensors.reserve(params);
     for (std::uint64_t i = 0; i < params; ++i) tensors.push_back(r.tensor());
     if (!tensors.empty()) cp.global = nn::FlatState::from_tensors(tensors);
   }
@@ -217,6 +240,7 @@ Checkpoint deserialize_checkpoint(std::span<const std::uint8_t> bytes) {
       throw std::invalid_argument("checkpoint: bad class count");
     }
     const auto rank = r.u64();
+    if (rank > kMaxRank) throw std::invalid_argument("checkpoint: absurd image shape rank");
     client.image_shape.resize(rank);
     for (auto& d : client.image_shape) d = static_cast<std::int64_t>(r.u64());
     for (int c = 0; c < client.num_classes; ++c) {
@@ -299,40 +323,6 @@ Checkpoint load_latest_checkpoint(store::Store& store) {
   }
   if (!best) throw store::StoreError("store: no checkpoint records in " + store.path());
   return deserialize_checkpoint(store.get(*best));
-}
-
-void save_client_store(store::Store& store, std::uint64_t layout_hash, std::uint64_t client,
-                       const Checkpoint::ClientStore& cs) {
-  Writer w;
-  w.u64(static_cast<std::uint64_t>(cs.num_classes));
-  w.u64(cs.image_shape.size());
-  for (const auto d : cs.image_shape) w.u64(static_cast<std::uint64_t>(d));
-  for (int c = 0; c < cs.num_classes; ++c) {
-    w.tensor(cs.synthetic[static_cast<std::size_t>(c)]);
-    w.tensor(cs.augmentation[static_cast<std::size_t>(c)]);
-  }
-  store.put({layout_hash, kRecordClientStore, client}, w.take());
-}
-
-Checkpoint::ClientStore load_client_store(store::Store& store, std::uint64_t layout_hash,
-                                          std::uint64_t client) {
-  const auto bytes = store.get({layout_hash, kRecordClientStore, client});
-  Reader r(bytes);
-  Checkpoint::ClientStore cs;
-  cs.num_classes = static_cast<int>(r.u64());
-  if (cs.num_classes <= 0 || cs.num_classes > 1 << 20) {
-    throw std::invalid_argument("client store record: bad class count");
-  }
-  const auto rank = r.u64();
-  if (rank > 8) throw std::invalid_argument("client store record: absurd shape rank");
-  cs.image_shape.resize(rank);
-  for (auto& d : cs.image_shape) d = static_cast<std::int64_t>(r.u64());
-  for (int c = 0; c < cs.num_classes; ++c) {
-    cs.synthetic.push_back(r.tensor());
-    cs.augmentation.push_back(r.tensor());
-  }
-  if (!r.done()) throw std::invalid_argument("client store record: trailing bytes");
-  return cs;
 }
 
 std::vector<SyntheticStore> restore_stores(const Checkpoint& cp) {

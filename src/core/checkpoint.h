@@ -25,7 +25,6 @@ namespace quickdrop::core {
 /// itself treats kinds as opaque; these are quickdrop's assignments.
 inline constexpr std::uint32_t kRecordCheckpoint = 1;     ///< full Checkpoint; cursor = round
 inline constexpr std::uint32_t kRecordUnlearnCursor = 2;  ///< serve mid-request cursor; cursor = (phase<<32)|rounds
-inline constexpr std::uint32_t kRecordClientStore = 3;    ///< one client's SyntheticStore; cursor = client id
 
 /// Position of an interrupted multi-round phase, persisted so a killed run
 /// can resume from the last completed round instead of from scratch. The
@@ -95,15 +94,6 @@ std::optional<std::uint64_t> latest_checkpoint_round(store::Store& store,
 /// (the record with the highest round; ties broken by layout hash). Throws
 /// store::StoreError when the store holds no checkpoint records.
 Checkpoint load_latest_checkpoint(store::Store& store);
-
-/// Per-client synthetic-store persistence: one record per client under
-/// (layout hash, kRecordClientStore, client id), so a single client's store
-/// can be rewritten after unlearning without touching the others. Not
-/// committed — call store.commit() after the batch of puts.
-void save_client_store(store::Store& store, std::uint64_t layout_hash, std::uint64_t client,
-                       const Checkpoint::ClientStore& client_store);
-Checkpoint::ClientStore load_client_store(store::Store& store, std::uint64_t layout_hash,
-                                          std::uint64_t client);
 
 /// Rebuilds live stores from a checkpoint (shapes/classes restored exactly).
 std::vector<SyntheticStore> restore_stores(const Checkpoint& checkpoint);

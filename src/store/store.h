@@ -1,8 +1,8 @@
 // Crash-safe single-file key/value store for durable QuickDrop state.
 //
 // One store file holds every durable artifact of a deployment — full
-// checkpoints, mid-request unlearn cursors, per-client synthetic stores,
-// round-level training cursors — as records keyed by
+// checkpoints (each carrying every client's synthetic store), mid-request
+// unlearn cursors, round-level training cursors — as records keyed by
 // (StateLayout hash, record kind, round/request cursor). On disk the file is
 // an append-only sequence of fixed-size CRC'd pages (store/pager.h):
 //

@@ -1,7 +1,11 @@
 #include <gtest/gtest.h>
 
+#include <sys/resource.h>
+
+#include <cstdint>
 #include <cstdio>
 #include <fstream>
+#include <initializer_list>
 #include <iterator>
 
 #include "core/checkpoint.h"
@@ -149,6 +153,57 @@ TEST(CheckpointTest, BitFlipAnywhereDetected) {
         << "flip at byte " << pos << " parsed";
   }
   EXPECT_NO_THROW(deserialize_checkpoint(original));
+}
+
+// A checkpoint with an empty global, no clients and no cursor, its client
+// count replaced by `clients_section`, then sealed with a valid FNV-1a
+// trailer so only the decoder's own bounds checks stand between the bytes
+// and the allocator.
+std::vector<std::uint8_t> crafted_checkpoint(std::initializer_list<std::uint64_t> clients_section) {
+  auto bytes = serialize_checkpoint(Checkpoint{});
+  bytes.resize(bytes.size() - 24);  // client count, cursor flag, checksum
+  const auto put = [&](std::uint64_t v) {
+    for (int i = 0; i < 8; ++i) bytes.push_back(static_cast<std::uint8_t>(v >> (8 * i)));
+  };
+  for (const auto v : clients_section) put(v);
+  put(0);  // no cursor
+  std::uint64_t h = 0xcbf29ce484222325ULL;
+  for (const auto b : bytes) {
+    h ^= b;
+    h *= 0x100000001b3ULL;
+  }
+  put(h);
+  return bytes;
+}
+
+long peak_rss_kb() {
+  rusage usage{};
+  getrusage(RUSAGE_SELF, &usage);
+  return usage.ru_maxrss;
+}
+
+TEST(CheckpointTest, CraftedShapesThrowBeforeAllocating) {
+  // With no clients the crafted bytes decode, so each rejection below comes
+  // from the shape it declares.
+  EXPECT_TRUE(deserialize_checkpoint(crafted_checkpoint({0})).clients.empty());
+  const std::uint64_t big_rank = std::uint64_t{1} << 40;
+  const std::uint64_t big_dim = std::uint64_t{1} << 28;  // 1 GiB of floats
+  const std::uint64_t huge_dim = std::uint64_t{1} << 32;
+  const std::vector<std::vector<std::uint8_t>> inputs = {
+      // clients, classes, image rank
+      crafted_checkpoint({1, 1, big_rank}),
+      // clients, classes, image rank 0, synthetic [2^28], augmentation [0]
+      crafted_checkpoint({1, 1, 0, 1, big_dim, 1, 0}),
+      // the numel of a [2^32, 2^32] synthetic tensor overflows int64
+      crafted_checkpoint({1, 1, 0, 2, huge_dim, huge_dim, 1, 0}),
+  };
+  const long before_kb = peak_rss_kb();
+  for (std::size_t i = 0; i < inputs.size(); ++i) {
+    EXPECT_THROW(deserialize_checkpoint(inputs[i]), std::invalid_argument) << "input " << i;
+  }
+  // None of the inputs is more than a few hundred bytes, so none may drive an
+  // allocation anywhere near the 1 GiB its shape declares.
+  EXPECT_LT(peak_rss_kb() - before_kb, 64 * 1024) << "decoder allocated before validating";
 }
 
 TEST(CheckpointTest, LoadCorruptFileThrows) {

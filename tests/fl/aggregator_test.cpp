@@ -62,7 +62,7 @@ struct PoolScope {
   int saved;
 };
 
-TEST(ShardTreeTest, TopologyAccounting) {
+TEST(AggregatorTest, TopologyAccounting) {
   // Clients land in one of the 64 canonical lanes; lane buffers are
   // allocated on first fold and counted in memory_bytes().
   const auto layout = StateLayout::of_shapes(kShapes);
@@ -77,7 +77,7 @@ TEST(ShardTreeTest, TopologyAccounting) {
   EXPECT_GT(agg.memory_bytes(), empty_bytes);
 }
 
-TEST(ShardTreeTest, MergeBitsInvariantAcrossThreadCounts) {
+TEST(AggregatorTest, MergeBitsInvariantAcrossThreadCounts) {
   const auto layout = StateLayout::of_shapes(kShapes);
   std::vector<ModelState> states;
   double total_weight = 0.0;
@@ -102,7 +102,7 @@ TEST(ShardTreeTest, MergeBitsInvariantAcrossThreadCounts) {
   }
 }
 
-TEST(ShardTreeTest, ProbeMatchesMaterializedValidationBitwise) {
+TEST(AggregatorTest, ProbeMatchesMaterializedValidationBitwise) {
   const auto layout = StateLayout::of_shapes(kShapes);
   const ModelState global = make_state(layout, 0.0f);
   const ModelState client = make_state(layout, 0.25f);
@@ -122,7 +122,7 @@ TEST(ShardTreeTest, ProbeMatchesMaterializedValidationBitwise) {
   }
 }
 
-TEST(ShardTreeTest, ProbeFlagsNonFiniteReconstruction) {
+TEST(AggregatorTest, ProbeFlagsNonFiniteReconstruction) {
   const auto layout = StateLayout::of_shapes(kShapes);
   const ModelState global = make_state(layout, 0.0f);
   ModelState poisoned = make_state(layout, 0.25f);
@@ -134,7 +134,7 @@ TEST(ShardTreeTest, ProbeFlagsNonFiniteReconstruction) {
   EXPECT_FALSE(probe.finite);
 }
 
-TEST(ShardTreeTest, FoldQuantizedMatchesDecodeThenFoldBitwise) {
+TEST(AggregatorTest, FoldQuantizedMatchesDecodeThenFoldBitwise) {
   const auto layout = StateLayout::of_shapes(kShapes);
   const ModelState global = make_state(layout, 0.0f);
 
@@ -159,7 +159,7 @@ TEST(ShardTreeTest, FoldQuantizedMatchesDecodeThenFoldBitwise) {
   }
 }
 
-TEST(ShardTreeTest, MalformedFrameQuarantinedBeforeAnyFold) {
+TEST(AggregatorTest, MalformedFrameQuarantinedBeforeAnyFold) {
   const auto layout = StateLayout::of_shapes(kShapes);
   const ModelState global = make_state(layout, 0.0f);
   const ModelState client = make_state(layout, 0.2f);
@@ -241,7 +241,7 @@ ResilientConfig engine_config() {
   return cfg;
 }
 
-TEST(ShardTreeEngineTest, RoundBitsInvariantAcrossThreadsAndTransport) {
+TEST(AggregatorEngineTest, RoundBitsInvariantAcrossThreadsAndTransport) {
   Fixture f;
   for (const Codec codec : {Codec::kNone, Codec::kInt8}) {
     ModelState reference;
@@ -260,7 +260,7 @@ TEST(ShardTreeEngineTest, RoundBitsInvariantAcrossThreadsAndTransport) {
   }
 }
 
-TEST(ShardTreeEngineTest, StreamingMatchesBufferedModeBitwise) {
+TEST(AggregatorEngineTest, StreamingMatchesBufferedModeBitwise) {
   Fixture f;
   // outlier rule off → streaming wave path; a huge multiplier keeps the
   // buffered path's median gate from rejecting anyone, so the accepted set —

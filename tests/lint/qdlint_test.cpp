@@ -555,192 +555,6 @@ TEST(LintFlow, IterOrderEscapeIsSuppressible) {
   EXPECT_TRUE(analyze_as("tools/x.cpp", src).empty());
 }
 
-// ---------------------------------------------------------------------------
-// Cache serialization
-// ---------------------------------------------------------------------------
-
-TEST(LintCache, SerializeParseRoundTrip) {
-  // A source that exercises every record type: findings, includes, globals,
-  // mutexes, function bodies, a parallel site, and NOLINT marks.
-  const std::string src =
-      "#include \"util/rng.h\"\n"
-      "std::mutex g_mu;\n"
-      "int g_state;\n"
-      "float bad(float x) { return x == 0.5f ? 1.0f : 0.0f; }\n"
-      "void par(ThreadPool& p) {\n"
-      "  p.run_chunks(4, [&](int i) { helper(i); });  // NOLINT(qdlint-conc-ref-capture)\n"
-      "}\n";
-  const qdlint::AnalyzedFile analysis =
-      qdlint::analyze_file(qdlint::classify("src/fake/x.cpp"), src);
-  EXPECT_FALSE(analysis.findings.empty());
-  EXPECT_FALSE(analysis.facts.functions.empty());
-  EXPECT_FALSE(analysis.facts.sites.empty());
-  EXPECT_FALSE(analysis.facts.globals.empty());
-  EXPECT_FALSE(analysis.facts.mutexes.empty());
-  EXPECT_FALSE(analysis.facts.includes.empty());
-
-  qdlint::Cache cache;
-  cache.entries["src/fake/x.cpp"] = {1234567890123LL, src.size(), qdlint::fnv1a64(src), analysis};
-  const std::string bytes = qdlint::serialize_cache(cache);
-  qdlint::Cache parsed;
-  ASSERT_TRUE(qdlint::parse_cache(bytes, &parsed));
-  // Re-serializing the parsed cache must reproduce the bytes exactly — this
-  // is what makes warm runs byte-identical to cold ones.
-  EXPECT_EQ(qdlint::serialize_cache(parsed), bytes);
-  const auto& e = parsed.entries.at("src/fake/x.cpp");
-  EXPECT_EQ(e.mtime_ns, 1234567890123LL);
-  EXPECT_EQ(e.hash, qdlint::fnv1a64(src));
-  EXPECT_EQ(e.analysis.findings.size(), analysis.findings.size());
-  EXPECT_EQ(e.analysis.facts.sites.size(), analysis.facts.sites.size());
-  EXPECT_EQ(e.analysis.facts.nolint, analysis.facts.nolint);
-}
-
-TEST(LintCache, EscapesSeparatorBytesInFreeText) {
-  qdlint::AnalyzedFile a;
-  a.findings.push_back(
-      {"x-rule", "src/a.cpp", 1, 2, "msg\twith\ttabs\nand\\slashes", "hint\rcr"});
-  a.line_texts.push_back("line\ttext");
-  a.facts.path = "src/a.cpp";
-  qdlint::Cache c;
-  c.entries["src/a.cpp"] = {1, 2, 3, a};
-  const std::string bytes = qdlint::serialize_cache(c);
-  qdlint::Cache parsed;
-  ASSERT_TRUE(qdlint::parse_cache(bytes, &parsed));
-  const auto& e = parsed.entries.at("src/a.cpp");
-  ASSERT_EQ(e.analysis.findings.size(), 1u);
-  EXPECT_EQ(e.analysis.findings[0].message, "msg\twith\ttabs\nand\\slashes");
-  EXPECT_EQ(e.analysis.findings[0].hint, "hint\rcr");
-  EXPECT_EQ(e.analysis.line_texts[0], "line\ttext");
-}
-
-TEST(LintCache, RejectsCorruptInputAndVersionDrift) {
-  qdlint::Cache out;
-  EXPECT_FALSE(qdlint::parse_cache("", &out));
-  EXPECT_FALSE(qdlint::parse_cache("not a cache at all\n", &out));
-  EXPECT_TRUE(out.entries.empty());
-
-  // A valid header with a corrupted record rejects the whole file.
-  const std::string header = qdlint::serialize_cache(qdlint::Cache{});
-  EXPECT_TRUE(qdlint::parse_cache(header, &out));
-  EXPECT_FALSE(qdlint::parse_cache(header + "F not numbers here\n", &out));
-  EXPECT_TRUE(out.entries.empty()) << "a failed parse must leave the cache empty";
-
-  // Version / rule-hash drift in the header invalidates everything at once.
-  std::string drifted = header;
-  drifted[drifted.find('2')] = '1';
-  EXPECT_FALSE(qdlint::parse_cache(drifted, &out));
-
-  // A truncated body (B without its E) is rejected too.
-  qdlint::AnalyzedFile a;
-  a.facts.path = "src/a.cpp";
-  a.facts.functions.push_back({});
-  a.facts.functions.back().name = "f";
-  qdlint::Cache c;
-  c.entries["src/a.cpp"] = {1, 2, 3, a};
-  std::string bytes = qdlint::serialize_cache(c);
-  bytes = bytes.substr(0, bytes.rfind("E\n"));
-  EXPECT_FALSE(qdlint::parse_cache(bytes, &out));
-}
-
-// ---------------------------------------------------------------------------
-// SARIF output
-// ---------------------------------------------------------------------------
-
-TEST(LintSarif, EmitsRunWithRuleAndLocation) {
-  const qdlint::Finding f{"num-float-eq", "src/a.cpp", 7, 3, "float equality", "use epsilon"};
-  const std::string s = qdlint::to_sarif({f});
-  EXPECT_NE(s.find("\"version\": \"2.1.0\""), std::string::npos);
-  EXPECT_NE(s.find("\"ruleId\": \"qdlint-num-float-eq\""), std::string::npos);
-  EXPECT_NE(s.find("\"uri\": \"src/a.cpp\""), std::string::npos);
-  EXPECT_NE(s.find("\"startLine\": 7"), std::string::npos);
-}
-
-TEST(LintSarif, EmptyFindingsStillProduceACompleteRun) {
-  const std::string s = qdlint::to_sarif({});
-  EXPECT_NE(s.find("\"results\""), std::string::npos);
-  EXPECT_NE(s.find("\"rules\""), std::string::npos) << "rule table must always be present";
-}
-
-// ---------------------------------------------------------------------------
-// Fix mode
-// ---------------------------------------------------------------------------
-
-TEST(LintFix, RewritesTrivialLockPairToLockGuard) {
-  const std::string src =
-      "#include <mutex>\n"
-      "std::mutex mu;\n"
-      "int work();\n"
-      "int f(bool b) {\n"
-      "  mu.lock();\n"
-      "  if (b) return -1;\n"
-      "  int r = work();\n"
-      "  mu.unlock();\n"
-      "  return r;\n"
-      "}\n";
-  const auto findings = analyze_as("src/fake/x.cpp", src);
-  ASSERT_EQ(rules_of(findings), std::vector<std::string>{"conc-lock-scope"});
-
-  // Rewrites need no justification note — they remove the hazard.
-  const qdlint::FixResult fixed = qdlint::apply_fixes(src, findings, "");
-  EXPECT_TRUE(fixed.changed);
-  EXPECT_EQ(fixed.lock_rewrites, 1);
-  EXPECT_EQ(fixed.nolints_inserted, 0);
-  EXPECT_NE(fixed.source.find("const std::lock_guard<std::mutex> mu_guard(mu);"),
-            std::string::npos);
-  EXPECT_EQ(fixed.source.find("mu.unlock"), std::string::npos);
-  EXPECT_TRUE(analyze_as("src/fake/x.cpp", fixed.source).empty())
-      << "the rewritten source must re-lint clean";
-}
-
-TEST(LintFix, NolintInsertionRequiresAJustification) {
-  const std::string src = "bool f(float x) { return x == 0.5f; }\n";
-  const auto findings = analyze_as("src/fake/x.cpp", src);
-  ASSERT_EQ(findings.size(), 1u);
-
-  // No note: nothing is suppressed (a reasonless suppression is worse than
-  // the finding); the caller reports the error.
-  const qdlint::FixResult skipped = qdlint::apply_fixes(src, findings, "");
-  EXPECT_FALSE(skipped.changed);
-  EXPECT_EQ(skipped.nolints_inserted, 0);
-
-  const qdlint::FixResult fixed = qdlint::apply_fixes(src, findings, "exact golden compare");
-  EXPECT_EQ(fixed.nolints_inserted, 1);
-  EXPECT_NE(fixed.source.find("// NOLINTNEXTLINE(qdlint-num-float-eq)"), std::string::npos);
-  EXPECT_NE(fixed.source.find("exact golden compare"), std::string::npos);
-  EXPECT_TRUE(analyze_as("src/fake/x.cpp", fixed.source).empty());
-}
-
-TEST(LintFix, GroupsRulesFiringOnTheSameLineIntoOneComment) {
-  // NOLINTNEXTLINE comments do not stack: two rules on one line must share a
-  // single inserted comment.
-  const std::string src = "float y(float x) { return x == 0.5f ? rand() : 0; }\n";
-  const auto findings = analyze_as("src/fake/x.cpp", src);
-  ASSERT_EQ(findings.size(), 2u);
-  const qdlint::FixResult fixed = qdlint::apply_fixes(src, findings, "fixture");
-  EXPECT_EQ(fixed.nolints_inserted, 1);
-  EXPECT_NE(fixed.source.find("// NOLINTNEXTLINE(qdlint-det-rand, qdlint-num-float-eq)"),
-            std::string::npos);
-  EXPECT_TRUE(analyze_as("src/fake/x.cpp", fixed.source).empty());
-}
-
-TEST(LintFix, FixedFixturesRelintClean) {
-  // The acceptance bar for --fix: applying it to the firing fixtures (one
-  // lock_guard rewrite + NOLINTs for the rest) leaves nothing behind.
-  for (const char* fixture : {"lock_scope_violations.cc", "iter_escape_violations.cc"}) {
-    const std::string relpath = kFixtureContexts.at(fixture);
-    const std::string source = read_fixture(fixture);
-    const auto findings = qdlint::analyze(qdlint::classify(relpath), source);
-    ASSERT_FALSE(findings.empty()) << fixture;
-    const qdlint::FixResult fixed =
-        qdlint::apply_fixes(source, findings, "fixture waiver: exercised by qdlint tests");
-    EXPECT_TRUE(fixed.changed) << fixture;
-    const auto after = qdlint::analyze(qdlint::classify(relpath), fixed.source);
-    EXPECT_TRUE(after.empty()) << fixture << " still fires " << after.size()
-                               << " finding(s) after --fix, first: "
-                               << (after.empty() ? "" : after[0].rule);
-  }
-}
-
 TEST(LintBaseline, JsonOutputEscapes) {
   qdlint::Finding f{"api-raw-io", "src/a \"b\".cpp", 3, 7, "msg with \"quotes\"", "hint\nline"};
   const std::string json = qdlint::to_json({f});

@@ -1,7 +1,6 @@
 // Checkpoint persistence through the crash-safe store: store-backed
-// round-trips, round-over-round dedup, latest-record lookup, per-client
-// records, format sniffing against legacy blob checkpoints, and the atomic
-// plain-file save path.
+// round-trips, round-over-round dedup, latest-record lookup, format sniffing
+// against legacy blob checkpoints, and the atomic plain-file save path.
 #include <gtest/gtest.h>
 
 #include <cstdio>
@@ -113,39 +112,6 @@ TEST(CheckpointStoreTest, LatestRoundAndLatestCheckpointFindTheNewest) {
   const auto latest = load_latest_checkpoint(store);
   EXPECT_EQ(latest.metadata.at("round"), "12");
   expect_checkpoints_identical(cp, latest);
-}
-
-TEST(CheckpointStoreTest, ClientStoreRecordsRoundTripIndividually) {
-  Fixture f;
-  const auto cp = make_checkpoint(f.global, f.stores);
-  const auto hash = checkpoint_layout_hash(cp);
-  ASSERT_EQ(cp.clients.size(), 2u);
-  const auto path = temp_path("clients.qds");
-  store::Store store(path);
-  for (std::size_t c = 0; c < cp.clients.size(); ++c) {
-    save_client_store(store, hash, c, cp.clients[c]);
-  }
-  store.commit();  // save_client_store stages; the batch commits once
-
-  store::Store reopened(path);
-  for (std::size_t c = 0; c < cp.clients.size(); ++c) {
-    const auto back = load_client_store(reopened, hash, c);
-    const auto& orig = cp.clients[c];
-    ASSERT_EQ(back.num_classes, orig.num_classes) << "client " << c;
-    ASSERT_EQ(back.image_shape, orig.image_shape) << "client " << c;
-    ASSERT_EQ(back.synthetic.size(), orig.synthetic.size());
-    for (std::size_t k = 0; k < orig.synthetic.size(); ++k) {
-      ASSERT_EQ(back.synthetic[k].shape(), orig.synthetic[k].shape());
-      for (std::int64_t i = 0; i < orig.synthetic[k].numel(); ++i) {
-        ASSERT_EQ(back.synthetic[k].at(i), orig.synthetic[k].at(i));
-      }
-      ASSERT_EQ(back.augmentation[k].shape(), orig.augmentation[k].shape());
-      for (std::int64_t i = 0; i < orig.augmentation[k].numel(); ++i) {
-        ASSERT_EQ(back.augmentation[k].at(i), orig.augmentation[k].at(i));
-      }
-    }
-  }
-  EXPECT_THROW((void)load_client_store(reopened, hash, 99), store::StoreError);
 }
 
 TEST(CheckpointStoreTest, LoadCheckpointSniffsStoreFilesAndLegacyBlobs) {

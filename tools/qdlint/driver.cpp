@@ -5,9 +5,6 @@
 #include <fstream>
 #include <sstream>
 
-#include "util/atomic_file.h"
-#include "util/thread_pool.h"
-
 namespace fs = std::filesystem;
 
 namespace qdlint {
@@ -36,11 +33,8 @@ bool read_file(const fs::path& p, std::string* out) {
 struct FileSlot {
   std::string rel;       // repo-relative path
   fs::path full;
-  CacheEntry entry;      // filled by the parallel pass
-  bool cache_hit = false;
-  bool io_error = false;
-  std::string source;    // retained only when read this run (for line texts)
-  bool have_source = false;
+  std::string source;    // kept for project-finding line texts
+  AnalyzedFile analysis;
 };
 
 struct Zipped {
@@ -52,7 +46,6 @@ struct Zipped {
 
 DriverResult run_driver(const DriverOptions& opts) {
   DriverResult result;
-  if (opts.threads > 0) quickdrop::set_num_threads(opts.threads);
 
   std::error_code ec;
   const fs::path root = fs::canonical(opts.root.empty() ? fs::current_path() : fs::path(opts.root), ec);
@@ -73,7 +66,7 @@ DriverResult run_driver(const DriverOptions& opts) {
     const fs::path full = root / p;
     if (fs::is_regular_file(full)) {
       const std::string rel = fs::relative(full, root).generic_string();
-      if (seen.insert(rel).second) slots.push_back({rel, full, {}, false, false, {}, false});
+      if (seen.insert(rel).second) slots.push_back({rel, full, {}, {}});
       continue;
     }
     if (!fs::is_directory(full)) {
@@ -85,85 +78,20 @@ DriverResult run_driver(const DriverOptions& opts) {
          it != fs::recursive_directory_iterator(); ++it) {
       if (!it->is_regular_file() || !lintable(it->path())) continue;
       const std::string rel = fs::relative(it->path(), root).generic_string();
-      if (seen.insert(rel).second) slots.push_back({rel, it->path(), {}, false, false, {}, false});
+      if (seen.insert(rel).second) slots.push_back({rel, it->path(), {}, {}});
     }
   }
   std::sort(slots.begin(), slots.end(),
             [](const FileSlot& a, const FileSlot& b) { return a.rel < b.rel; });
   result.files_scanned = static_cast<int>(slots.size());
 
-  // ---- load the cache (corruption or rule-set drift → cold run) ------------
-  Cache cache;
-  if (!opts.cache_path.empty()) {
-    std::string content;
-    if (read_file(opts.cache_path, &content)) {
-      Cache parsed;
-      if (parse_cache(content, &parsed)) cache = std::move(parsed);
-    }
-  }
-
-  // ---- per-file pass, parallel over the shared pool ------------------------
-  // Each index writes only its own slot (disjoint), so the [&] capture is a
-  // plain fan-out; findings stay deterministic because slots are pre-sorted
-  // and merged in index order afterwards.
-  quickdrop::ThreadPool::global().run_chunks(
-      static_cast<int>(slots.size()),
-      // qdlint: shared-write(each chunk writes only slots[i] for its own i)
-      [&](int i) {
-        FileSlot& slot = slots[static_cast<std::size_t>(i)];
-        std::error_code sec;
-        const auto mtime = fs::last_write_time(slot.full, sec);
-        const std::uint64_t size = sec ? 0 : fs::file_size(slot.full, sec);
-        const std::int64_t mtime_ns =
-            sec ? 0 : static_cast<std::int64_t>(mtime.time_since_epoch().count());
-
-        const auto it = cache.entries.find(slot.rel);
-        if (!sec && it != cache.entries.end() && it->second.mtime_ns == mtime_ns &&
-            it->second.size == size) {
-          slot.entry = it->second;
-          slot.cache_hit = true;
-          return;
-        }
-        if (!read_file(slot.full, &slot.source)) {
-          slot.io_error = true;
-          return;
-        }
-        slot.have_source = true;
-        const std::uint64_t hash = fnv1a64(slot.source);
-        if (it != cache.entries.end() && it->second.hash == hash &&
-            it->second.size == slot.source.size()) {
-          // Touched but unchanged: refresh the fingerprint, reuse the result.
-          slot.entry = it->second;
-          slot.entry.mtime_ns = mtime_ns;
-          slot.cache_hit = true;
-          return;
-        }
-        slot.entry.mtime_ns = mtime_ns;
-        slot.entry.size = size;
-        slot.entry.hash = hash;
-        slot.entry.analysis = analyze_file(classify(slot.rel), slot.source);
-      });
-
-  for (const FileSlot& slot : slots) {
-    if (slot.io_error) {
+  // ---- per-file pass, serial in sorted order ------------------------------
+  for (FileSlot& slot : slots) {
+    if (!read_file(slot.full, &slot.source)) {
       result.error = "cannot read " + slot.full.string();
       return result;
     }
-    if (slot.cache_hit) ++result.cache_hits;
-  }
-
-  // ---- persist the refreshed cache (atomic: readers never see a torn file) -
-  if (!opts.cache_path.empty()) {
-    Cache fresh;
-    for (const FileSlot& slot : slots) fresh.entries[slot.rel] = slot.entry;
-    const fs::path parent = fs::path(opts.cache_path).parent_path();
-    if (!parent.empty()) fs::create_directories(parent, ec);
-    try {
-      quickdrop::write_file_atomic(opts.cache_path, serialize_cache(fresh));
-    } catch (const std::exception& e) {
-      result.error = std::string("cannot write cache: ") + e.what();
-      return result;
-    }
+    slot.analysis = analyze_file(classify(slot.rel), slot.source);
   }
 
   // ---- whole-project stage -------------------------------------------------
@@ -181,7 +109,7 @@ DriverResult run_driver(const DriverOptions& opts) {
   }
   std::vector<FileFacts> all_facts;
   all_facts.reserve(slots.size());
-  for (const FileSlot& slot : slots) all_facts.push_back(slot.entry.analysis.facts);
+  for (const FileSlot& slot : slots) all_facts.push_back(slot.analysis.facts);
   const std::vector<Finding> project = link_project(all_facts, layers);
 
   // ---- merge per-file + project findings, with line texts ------------------
@@ -189,26 +117,19 @@ DriverResult run_driver(const DriverOptions& opts) {
   std::map<std::string, std::size_t> slot_index;
   for (std::size_t i = 0; i < slots.size(); ++i) slot_index[slots[i].rel] = i;
   for (const FileSlot& slot : slots) {
-    const AnalyzedFile& a = slot.entry.analysis;
+    const AnalyzedFile& a = slot.analysis;
     for (std::size_t i = 0; i < a.findings.size(); ++i) {
-      zipped.push_back({a.findings[i],
-                        i < a.line_texts.size() ? a.line_texts[i] : std::string()});
+      zipped.push_back({a.findings[i], a.line_texts[i]});
     }
   }
-  // Project findings fetch their line text from the (possibly cached) file —
-  // read lazily, once per flagged file.
-  std::map<std::string, std::vector<std::string>> lazy_lines;
+  // Project findings take their line text from the flagged file's source,
+  // split once per flagged file.
+  std::map<std::string, std::vector<std::string>> split_lines;
   for (const Finding& f : project) {
-    auto lit = lazy_lines.find(f.path);
-    if (lit == lazy_lines.end()) {
-      std::string src;
-      const auto sit = slot_index.find(f.path);
-      if (sit != slot_index.end() && slots[sit->second].have_source) {
-        src = slots[sit->second].source;
-      } else if (sit != slot_index.end()) {
-        read_file(slots[sit->second].full, &src);  // best-effort
-      }
-      lit = lazy_lines.emplace(f.path, split_source_lines(src)).first;
+    auto lit = split_lines.find(f.path);
+    if (lit == split_lines.end()) {
+      const std::string& source = slots[slot_index.at(f.path)].source;
+      lit = split_lines.emplace(f.path, split_source_lines(source)).first;
     }
     zipped.push_back({f, trimmed_line(lit->second, f.line)});
   }

@@ -1,9 +1,7 @@
 // qdlint driver: the orchestration layer above the pure analysis library.
-// Walks the tree, runs per-file analysis in parallel over the shared
-// ThreadPool, maintains the on-disk mtime+hash cache, and runs the
-// whole-project stage (layer DAG, include cycles, reachability). Linked
-// against qd_util — the analysis library itself (qdlint.h) stays
-// dependency-free so tests can drive it in-process.
+// Walks the tree, analyzes every file in one cold serial pass, and runs the
+// whole-project stage (layer DAG, include cycles, reachability). Like the
+// rest of qdlint_lib it depends on nothing outside the standard library.
 #pragma once
 
 #include <string>
@@ -16,9 +14,7 @@ namespace qdlint {
 struct DriverOptions {
   std::string root;                 // repo root (absolute or cwd-relative)
   std::vector<std::string> paths;   // repo-relative files/dirs; default src tools bench
-  std::string cache_path;           // on-disk cache file; "" disables caching
   std::string layers_path;          // layer map; "" = <root>/tools/qdlint/layers.txt
-  int threads = 0;                  // resize the global pool first; 0 = leave as-is
 };
 
 struct DriverResult {
@@ -27,11 +23,10 @@ struct DriverResult {
   std::vector<Finding> findings;          // per-file + project, sorted by path/line
   std::vector<std::string> line_texts;    // parallel to findings (trimmed source)
   int files_scanned = 0;
-  int cache_hits = 0;   // files whose analysis was reused (mtime/size or hash match)
 };
 
-/// Runs the full lint pass. Deterministic: findings depend only on file
-/// contents and the layer map, never on thread count or cache state.
+/// Runs the full lint pass. Deterministic: findings are a pure function of
+/// the file contents and the layer map.
 DriverResult run_driver(const DriverOptions& opts);
 
 }  // namespace qdlint

@@ -1,21 +1,18 @@
 // qdlint CLI: walks src/, tools/ and bench/ (or explicit paths), runs the
-// per-file rules in parallel over the shared thread pool plus the
-// whole-project stage (layer DAG, include cycles, reachability), subtracts
-// the baseline, and reports findings. Exit code 0 = clean, 1 = non-baselined
-// findings, 2 = usage or I/O error.
+// per-file rules in one serial pass plus the whole-project stage (layer DAG,
+// include cycles, reachability), subtracts the baseline, and reports
+// findings. Exit code 0 = clean, 1 = non-baselined findings, 2 = usage or
+// I/O error.
 //
 // Usage:
-//   qdlint [--root DIR] [--baseline FILE] [--json] [--sarif FILE]
-//          [--cache FILE] [--layers FILE] [--threads N]
-//          [--fix --fix-note TEXT] [--write-baseline FILE]
-//          [--list-rules] [paths...]
+//   qdlint [--root DIR] [--baseline FILE] [--json] [--layers FILE]
+//          [--write-baseline FILE] [--list-rules] [paths...]
 //
 // Paths are repo-relative (to --root); default: src tools bench.
 
 #include <cstdlib>
 #include <fstream>
 #include <iostream>
-#include <map>
 #include <sstream>
 #include <string>
 #include <vector>
@@ -35,51 +32,12 @@ bool read_file(const std::string& p, std::string* out) {
   return true;
 }
 
-int run_fix(const qdlint::DriverResult& lint, const std::string& root, const std::string& note) {
-  // Group findings per file; conc-lock-scope first tries the lock_guard
-  // rewrite, everything else becomes a NOLINTNEXTLINE with the note.
-  std::map<std::string, std::vector<qdlint::Finding>> by_file;
-  for (const auto& f : lint.findings) by_file[f.path].push_back(f);
-  int rewrites = 0, nolints = 0, files_changed = 0;
-  bool needed_note = false;
-  for (const auto& [path, findings] : by_file) {
-    const std::string full = root + "/" + path;
-    std::string source;
-    if (!read_file(full, &source)) {
-      std::cerr << "qdlint: cannot read " << full << "\n";
-      return 2;
-    }
-    const qdlint::FixResult fixed = qdlint::apply_fixes(source, findings, note);
-    if (static_cast<std::size_t>(fixed.lock_rewrites) < findings.size() && note.empty()) {
-      needed_note = true;
-    }
-    if (!fixed.changed) continue;
-    try {
-      quickdrop::write_file_atomic(full, fixed.source);
-    } catch (const std::exception& e) {
-      std::cerr << "qdlint: cannot write " << full << ": " << e.what() << "\n";
-      return 2;
-    }
-    ++files_changed;
-    rewrites += fixed.lock_rewrites;
-    nolints += fixed.nolints_inserted;
-  }
-  std::cout << "qdlint --fix: " << files_changed << " file(s) changed, " << rewrites
-            << " lock_guard rewrite(s), " << nolints << " NOLINT(s) inserted\n";
-  if (needed_note) {
-    std::cerr << "qdlint: some findings need a NOLINT suppression; re-run with "
-                 "--fix-note \"<why this finding is acceptable>\"\n";
-    return 2;
-  }
-  return 0;
-}
-
 }  // namespace
 
 int main(int argc, char** argv) {
   qdlint::DriverOptions opts;
-  std::string baseline_path, write_baseline_path, sarif_path, fix_note;
-  bool json = false, fix = false;
+  std::string baseline_path, write_baseline_path;
+  bool json = false;
 
   for (int i = 1; i < argc; ++i) {
     const std::string arg = argv[i];
@@ -98,26 +56,14 @@ int main(int argc, char** argv) {
       write_baseline_path = next();
     } else if (arg == "--json") {
       json = true;
-    } else if (arg == "--sarif") {
-      sarif_path = next();
-    } else if (arg == "--cache") {
-      opts.cache_path = next();
     } else if (arg == "--layers") {
       opts.layers_path = next();
-    } else if (arg == "--threads") {
-      opts.threads = std::atoi(next());
-    } else if (arg == "--fix") {
-      fix = true;
-    } else if (arg == "--fix-note") {
-      fix_note = next();
     } else if (arg == "--list-rules") {
       for (const auto& r : qdlint::all_rules()) std::cout << "qdlint-" << r << "\n";
       return 0;
     } else if (arg == "--help" || arg == "-h") {
-      std::cout << "usage: qdlint [--root DIR] [--baseline FILE] [--json] [--sarif FILE]\n"
-                   "              [--cache FILE] [--layers FILE] [--threads N]\n"
-                   "              [--fix --fix-note TEXT] [--write-baseline FILE]\n"
-                   "              [--list-rules] [paths...]\n";
+      std::cout << "usage: qdlint [--root DIR] [--baseline FILE] [--json] [--layers FILE]\n"
+                   "              [--write-baseline FILE] [--list-rules] [paths...]\n";
       return 0;
     } else if (!arg.empty() && arg[0] == '-') {
       std::cerr << "qdlint: unknown option " << arg << "\n";
@@ -164,21 +110,6 @@ int main(int argc, char** argv) {
     findings = qdlint::subtract_baseline(findings, qdlint::parse_baseline(content), line_texts);
   }
 
-  if (fix) {
-    qdlint::DriverResult after = lint;
-    after.findings = findings;
-    return run_fix(after, opts.root.empty() ? "." : opts.root, fix_note);
-  }
-
-  if (!sarif_path.empty()) {
-    try {
-      quickdrop::write_file_atomic(sarif_path, qdlint::to_sarif(findings));
-    } catch (const std::exception& e) {
-      std::cerr << "qdlint: cannot write SARIF: " << e.what() << "\n";
-      return 2;
-    }
-  }
-
   if (json) {
     std::cout << qdlint::to_json(findings);
   } else {
@@ -188,8 +119,8 @@ int main(int argc, char** argv) {
       if (!f.hint.empty()) std::cout << "\n    hint: " << f.hint;
       std::cout << "\n";
     }
-    std::cout << "qdlint: " << lint.files_scanned << " files (" << lint.cache_hits
-              << " cached), " << findings.size() << " finding(s)"
+    std::cout << "qdlint: " << lint.files_scanned << " files, " << findings.size()
+              << " finding(s)"
               << (baseline_path.empty() ? "" : " after baseline") << "\n";
   }
   return findings.empty() ? 0 : 1;

@@ -10,10 +10,9 @@
 // v2 adds a whole-project stage on top of the per-file rules: an include
 // graph checked against a declared layer DAG (tools/qdlint/layers.txt), a
 // lightweight symbol index + call-graph-lite for reachability rules, and
-// flow-sensitive single-function checks. The driver (driver.cpp, linked
-// against qd_util) lexes files in parallel over the shared ThreadPool with
-// an on-disk mtime+hash cache; this header's analysis API stays pure and
-// dependency-free so the lint test suite can drive it in-process.
+// flow-sensitive single-function checks. The driver (driver.h) walks the
+// tree and analyzes every file in one cold serial pass; everything here is
+// pure and dependency-free so the lint test suite can drive it in-process.
 //
 // Rule families (see DESIGN.md "Static analysis & enforced invariants" and
 // §14 "Whole-project analysis"):
@@ -130,7 +129,7 @@ std::vector<Finding> analyze_lexed(const FileContext& ctx, const LexResult& lexe
 const std::vector<std::string>& all_rules();
 
 /// Source split into lines / one line trimmed of surrounding whitespace —
-/// shared by the driver, the cache and baseline keying.
+/// shared by the driver and baseline keying.
 std::vector<std::string> split_source_lines(const std::string& s);
 std::string trimmed_line(const std::vector<std::string>& lines, int line_no);
 
@@ -181,8 +180,7 @@ struct GlobalDecl {
   int line = 0;
 };
 
-/// Everything the project stage needs to know about one file. Serializable
-/// (see cache.cpp) so warm runs never re-lex unchanged files.
+/// Everything the project stage needs to know about one file.
 struct FileFacts {
   std::string path;
   std::vector<IncludeFact> includes;  // quoted includes only
@@ -273,64 +271,5 @@ std::vector<Finding> subtract_baseline(
 
 std::string to_json(const std::vector<Finding>& findings);
 std::string json_escape(const std::string& s);
-
-/// SARIF 2.1.0 (static analysis results interchange format) — one run, one
-/// result per finding, rules taken from all_rules(). Uploadable as a CI
-/// code-scanning artifact.
-std::string to_sarif(const std::vector<Finding>& findings);
-
-// ---------------------------------------------------------------------------
-// On-disk analysis cache (mtime + content hash)
-// ---------------------------------------------------------------------------
-
-/// FNV-1a 64-bit over a byte string (also used for the cache content hash).
-std::uint64_t fnv1a64(const std::string& bytes);
-
-/// One cached file: the stat fingerprint taken when it was analyzed plus the
-/// full analysis result. A file whose mtime+size match is reused without
-/// reading; on mismatch the content hash decides (touched-but-unchanged
-/// files re-fingerprint instead of re-analyzing).
-struct CacheEntry {
-  std::int64_t mtime_ns = 0;
-  std::uint64_t size = 0;
-  std::uint64_t hash = 0;  // fnv1a64 of the file contents
-  AnalyzedFile analysis;
-};
-
-struct Cache {
-  std::map<std::string, CacheEntry> entries;  // keyed by repo-relative path
-};
-
-/// Serializes to the versioned text format of build/qdlint.cache. The header
-/// embeds a hash of all_rules(), so any rule-set change invalidates every
-/// entry at once.
-std::string serialize_cache(const Cache& cache);
-
-/// Parses a cache file. Returns false (and leaves *out empty) on a version /
-/// rule-hash mismatch or corrupt input — a bad cache degrades to a cold run,
-/// never to wrong findings.
-bool parse_cache(const std::string& content, Cache* out);
-
-// ---------------------------------------------------------------------------
-// Fix mode (--fix)
-// ---------------------------------------------------------------------------
-
-struct FixResult {
-  std::string source;      // rewritten file contents
-  int lock_rewrites = 0;   // lock()/unlock() pairs turned into lock_guard
-  int nolints_inserted = 0;
-  bool changed = false;
-};
-
-/// Applies mechanical remediations for `findings` (all belonging to one
-/// file) to `source`:
-///  - conc-lock-scope: rewrites a manual lock()/unlock() pair into a
-///    std::lock_guard when trivially safe (single pair, same scope, the
-///    mutex untouched after the unlock);
-///  - anything else: inserts `// NOLINTNEXTLINE(qdlint-<rule>) — <note>`
-///    above the finding. `note` is the required justification; when empty,
-///    NOLINT insertion is skipped (callers treat that as an error).
-FixResult apply_fixes(const std::string& source, const std::vector<Finding>& findings,
-                      const std::string& note);
 
 }  // namespace qdlint
