@@ -1,7 +1,7 @@
 // google-benchmark microbenchmarks of the crash-safe state store
 // (DESIGN.md §12): commit throughput for fresh and deduplicated payloads,
 // read-back, recovery-on-open latency as the file grows, vacuum, and
-// store-backed versus legacy-blob checkpoint saves. Results land in
+// round-over-round checkpoint saves. Results land in
 // BENCH_store.json (see main below); run_all.sh checks the file exists after
 // the bench sweep.
 #include <benchmark/benchmark.h>
@@ -16,7 +16,6 @@
 #include "data/synthetic.h"
 #include "nn/convnet.h"
 #include "store/store.h"
-#include "util/atomic_file.h"
 #include "util/rng.h"
 
 namespace qd = quickdrop;
@@ -138,8 +137,8 @@ void BM_Vacuum(benchmark::State& state) {
 BENCHMARK(BM_Vacuum);
 
 // ---------------------------------------------------------------------------
-// Checkpoint persistence: store-backed save (transactional, dedups unchanged
-// rounds) vs the legacy atomic single-blob write, on a small deployment.
+// Checkpoint persistence: one committed record per round (transactional,
+// dedups unchanged rounds), on a small deployment.
 // ---------------------------------------------------------------------------
 
 qd::core::Checkpoint make_deployment() {
@@ -177,16 +176,6 @@ void BM_CheckpointSaveStore(benchmark::State& state) {
   std::remove(path.c_str());
 }
 BENCHMARK(BM_CheckpointSaveStore);
-
-void BM_CheckpointSaveBlob(benchmark::State& state) {
-  const auto cp = make_deployment();
-  const std::string path = "BENCH_store_scratch_cp.qdcp";
-  for (auto _ : state) {
-    qd::core::save_checkpoint(cp, path);
-  }
-  std::remove(path.c_str());
-}
-BENCHMARK(BM_CheckpointSaveBlob);
 
 }  // namespace
 

@@ -16,10 +16,12 @@ echo "lint pass exit: ${PIPESTATUS[0]}" | tee -a lint_output.txt
 # Sanitizer pass: rebuild the fault-tolerance-critical suites (fl + core)
 # plus the crash-safe store (engine fuzz + kill-point sweep — the recovery
 # scan parses attacker-controlled bytes, exactly where UB would hide) with
-# ASan/UBSan and run the binaries directly.
+# ASan/UBSan and run the binaries directly. UBSan reports abort the binary,
+# so any report fails the pass.
 SAN_BUILD="${BUILD}-asan"
 {
-  cmake -B "$SAN_BUILD" -S . -DQUICKDROP_SANITIZE="address;undefined" &&
+  cmake -B "$SAN_BUILD" -S . -DQUICKDROP_SANITIZE="address;undefined" \
+    -DCMAKE_CXX_FLAGS="-fno-sanitize-recover=undefined" &&
   cmake --build "$SAN_BUILD" -j --target fl_test core_test util_test nn_test \
     store_test store_crash_sweep_test lint_test lint_driver_test net_test &&
   "$SAN_BUILD"/tests/fl_test &&
@@ -111,7 +113,7 @@ else
 fi
 
 # Likewise the store microbenchmark (bench/ext_store): commit/recover/vacuum
-# throughput and store-vs-blob checkpoint saves — see DESIGN.md §12.
+# throughput and round-over-round checkpoint saves — see DESIGN.md §12.
 if [ -f BENCH_store.json ]; then
   echo "store bench: BENCH_store.json written" | tee -a bench_output.txt
 else

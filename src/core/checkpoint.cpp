@@ -2,20 +2,15 @@
 
 #include <algorithm>
 #include <cstring>
-#include <fstream>
 #include <limits>
 #include <stdexcept>
-
-#include "util/atomic_file.h"
 
 namespace quickdrop::core {
 namespace {
 
 // "QDCP" + format version. v4 stores the global model as one flat
 // serialized-state blob (nn/state.h format v2: layout hash + shape manifest +
-// contiguous payload); v3 stored it per-tensor and is still loadable — the
-// pre-FlatState golden checkpoint in tests/core/golden/ pins that shim.
-constexpr std::uint64_t kMagicV3 = 0x51444350'00000003ULL;
+// contiguous payload); the golden store file in tests/core/golden/ pins it.
 constexpr std::uint64_t kMagicV4 = 0x51444350'00000004ULL;
 
 /// Upper bound for a serialized global state inside a checkpoint (floats +
@@ -50,9 +45,11 @@ class Writer {
   void tensor(const Tensor& t) {
     u64(t.shape().size());
     for (const auto d : t.shape()) u64(static_cast<std::uint64_t>(d));
+    const auto nbytes = t.data().size() * sizeof(float);
+    if (nbytes == 0) return;  // an absent class has no data pointer to copy from
     const auto offset = bytes_.size();
-    bytes_.resize(offset + t.data().size() * sizeof(float));
-    std::memcpy(bytes_.data() + offset, t.data().data(), t.data().size() * sizeof(float));
+    bytes_.resize(offset + nbytes);
+    std::memcpy(bytes_.data() + offset, t.data().data(), nbytes);
   }
   void blob(std::span<const std::uint8_t> b) {
     u64(b.size());
@@ -211,9 +208,7 @@ Checkpoint deserialize_checkpoint(std::span<const std::uint8_t> bytes) {
   }
   Reader r(payload);
   const auto magic = r.u64();
-  if (magic != kMagicV4 && magic != kMagicV3) {
-    throw std::invalid_argument("checkpoint: bad magic/version");
-  }
+  if (magic != kMagicV4) throw std::invalid_argument("checkpoint: bad magic/version");
   Checkpoint cp;
   const auto metadata_count = r.u64();
   if (metadata_count > 1 << 16) throw std::invalid_argument("checkpoint: bad metadata count");
@@ -221,17 +216,7 @@ Checkpoint deserialize_checkpoint(std::span<const std::uint8_t> bytes) {
     const auto key = r.string();
     cp.metadata[key] = r.string();
   }
-  if (magic == kMagicV4) {
-    cp.global = nn::deserialize_state(r.blob(kMaxStateBlob));
-  } else {
-    // v3 shim: the global was stored per-tensor; repack into a flat state.
-    const auto params = r.u64();
-    if (params > 1 << 20) throw std::invalid_argument("checkpoint: bad parameter count");
-    // NOLINTNEXTLINE(qdlint-api-flatstate): transient list for the legacy format only
-    std::vector<Tensor> tensors;
-    for (std::uint64_t i = 0; i < params; ++i) tensors.push_back(r.tensor());
-    if (!tensors.empty()) cp.global = nn::FlatState::from_tensors(tensors);
-  }
+  cp.global = nn::deserialize_state(r.blob(kMaxStateBlob));
   const auto clients = r.u64();
   for (std::uint64_t i = 0; i < clients; ++i) {
     Checkpoint::ClientStore client;
@@ -268,25 +253,14 @@ Checkpoint deserialize_checkpoint(std::span<const std::uint8_t> bytes) {
   return cp;
 }
 
-void save_checkpoint(const Checkpoint& cp, const std::string& path) {
-  // Atomic replace: a crash mid-save leaves the previous checkpoint intact.
-  write_file_atomic(path, serialize_checkpoint(cp));
-}
-
 Checkpoint load_checkpoint(const std::string& path) {
-  // A path can hold either format; the page magic disambiguates.
-  if (store::Store::sniff(path)) {
-    store::Store store(path);
-    return load_latest_checkpoint(store);
+  // Probe before opening: a Store creates a missing file, and its first
+  // commit would overwrite a foreign one.
+  if (!store::Store::sniff(path)) {
+    throw store::StoreError("load_checkpoint: " + path + " is not a checkpoint store file");
   }
-  std::ifstream in(path, std::ios::binary | std::ios::ate);
-  if (!in) throw std::runtime_error("load_checkpoint: cannot open " + path);
-  const auto size = static_cast<std::size_t>(in.tellg());
-  in.seekg(0);
-  std::vector<std::uint8_t> bytes(size);
-  in.read(reinterpret_cast<char*>(bytes.data()), static_cast<std::streamsize>(size));
-  if (!in) throw std::runtime_error("load_checkpoint: read failed for " + path);
-  return deserialize_checkpoint(bytes);
+  store::Store store(path);
+  return load_latest_checkpoint(store);
 }
 
 std::uint64_t checkpoint_layout_hash(const Checkpoint& cp) {

@@ -4,9 +4,9 @@
 // synthetic stores generated during training must survive until unlearning
 // requests arrive, possibly across process restarts. A checkpoint bundles the
 // global model state and every client's synthetic + augmentation data in one
-// versioned binary blob. Current format: v4 (flat global state, see
-// DESIGN.md §11); v3 checkpoints written before the FlatState refactor load
-// through a compatibility shim.
+// versioned binary record (format v4, flat global state, see DESIGN.md §11).
+// On disk, every checkpoint is a record of a crash-safe store file
+// (store/store.h, DESIGN.md §12); there is no other file format.
 #pragma once
 
 #include <map>
@@ -68,13 +68,10 @@ Checkpoint make_checkpoint(const nn::ModelState& global,
 std::vector<std::uint8_t> serialize_checkpoint(const Checkpoint& checkpoint);
 Checkpoint deserialize_checkpoint(std::span<const std::uint8_t> bytes);
 
-/// File I/O. The write is atomic (tmp + fsync + rename), so a crash mid-save
-/// leaves either the old checkpoint or the new one, never a torn file.
-/// `load_checkpoint(path)` sniffs the format: a crash-safe store file (page
-/// magic) loads its latest committed checkpoint record; anything else is
-/// parsed as a legacy single-blob checkpoint. Throws std::runtime_error on
-/// I/O failure.
-void save_checkpoint(const Checkpoint& checkpoint, const std::string& path);
+/// Loads the latest committed checkpoint record of the store file at `path`
+/// (see load_latest_checkpoint). A missing file, or one that does not start
+/// with the store page magic, throws store::StoreError naming the path
+/// without being opened as a store, so it is neither created nor modified.
 Checkpoint load_checkpoint(const std::string& path);
 
 /// Layout hash of the checkpoint's global state — the store key namespace

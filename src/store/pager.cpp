@@ -50,7 +50,10 @@ std::uint64_t Pager::append(PageKind kind, std::span<const std::uint8_t> payload
   put_u32(page.data() + 4, static_cast<std::uint32_t>(kind));
   put_u64(page.data() + 8, id);
   put_u32(page.data() + 16, static_cast<std::uint32_t>(payload.size()));
-  std::memcpy(page.data() + kPageHeaderSize, payload.data(), payload.size());
+  // An empty value's payload may have no data pointer to copy from.
+  if (!payload.empty()) {
+    std::memcpy(page.data() + kPageHeaderSize, payload.data(), payload.size());
+  }
   // CRC spans the header prefix AND the padded payload area, so a bit flip
   // anywhere in the page — including the zero padding — is detected.
   const std::uint64_t crc =

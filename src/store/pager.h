@@ -20,8 +20,7 @@ namespace quickdrop::store {
 inline constexpr std::uint32_t kPageSize = 4096;
 inline constexpr std::uint32_t kPageHeaderSize = 32;
 inline constexpr std::uint32_t kPagePayload = kPageSize - kPageHeaderSize;
-/// "QDPG" little-endian; doubles as the store-format sniff byte sequence
-/// (a legacy blob checkpoint starts with a different magic).
+/// "QDPG" little-endian; doubles as the store-format sniff byte sequence.
 inline constexpr std::uint32_t kPageMagic = 0x47504451;
 
 enum class PageKind : std::uint32_t {

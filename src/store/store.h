@@ -125,8 +125,9 @@ class Store {
   [[nodiscard]] const std::string& path() const { return path_; }
 
   /// True when `path` exists and starts with the store page magic —
-  /// distinguishes store files from legacy blob checkpoints. A prefix of the
-  /// magic (a first-page torn write) also counts.
+  /// distinguishes store files from any other file without creating or
+  /// modifying it. A prefix of the magic (a first-page torn write) also
+  /// counts.
   static bool sniff(const std::string& path);
 
  private:

@@ -1,13 +1,13 @@
-// Atomic whole-file replacement for legacy (non-store) persistence paths.
+// Atomic whole-file replacement for write-once (non-store) outputs.
 //
 // A plain truncating ofstream write has a torn-write hole: a crash between
 // open and the final flush leaves a half-written file AND has already
 // destroyed the previous contents. write_file_atomic closes that hole for
-// every blob-style artifact (legacy checkpoints, trace dumps, metrics JSON):
+// every whole-file artifact (trace dumps, metrics JSON, lint baselines):
 // it writes `<path>.tmp`, fsyncs it, then renames it over `path` — readers
 // only ever observe the old complete file or the new complete file, never a
-// prefix. For keyed, incrementally-updated state use src/store instead; this
-// helper is for write-once whole-file outputs.
+// prefix. Checkpoints and other keyed, incrementally-updated state go
+// through src/store instead.
 #pragma once
 
 #include <cstdint>

@@ -4,6 +4,7 @@
 
 #include <cstdint>
 #include <cstdio>
+#include <filesystem>
 #include <fstream>
 #include <initializer_list>
 #include <iterator>
@@ -12,6 +13,7 @@
 #include "core/quickdrop.h"
 #include "data/synthetic.h"
 #include "nn/convnet.h"
+#include "store/store.h"
 
 namespace quickdrop::core {
 namespace {
@@ -64,6 +66,23 @@ void expect_stores_equal(const SyntheticStore& a, const SyntheticStore& b) {
     ASSERT_EQ(ta.shape(), tb.shape());
     for (std::int64_t i = 0; i < ta.numel(); ++i) EXPECT_FLOAT_EQ(ta.at(i), tb.at(i));
   }
+}
+
+/// Writes `cp` as the one record of a fresh store file at `path`.
+void save_store_file(const Checkpoint& cp, const std::string& path) {
+  std::remove(path.c_str());
+  store::Store store(path);
+  save_checkpoint(cp, store, 1);
+}
+
+std::vector<char> read_file(const std::string& path) {
+  std::ifstream in(path, std::ios::binary);
+  return {std::istreambuf_iterator<char>(in), {}};
+}
+
+void write_file(const std::string& path, const std::vector<char>& bytes) {
+  std::ofstream out(path, std::ios::binary | std::ios::trunc);
+  out.write(bytes.data(), static_cast<std::streamsize>(bytes.size()));
 }
 
 TEST(CheckpointTest, MetadataRoundTrip) {
@@ -207,26 +226,23 @@ TEST(CheckpointTest, CraftedShapesThrowBeforeAllocating) {
 }
 
 TEST(CheckpointTest, LoadCorruptFileThrows) {
+  // A truncated or bit-flipped one-record store holds no commit that
+  // verifies, so loading it throws; it never returns other bits.
   Fixture f;
-  const std::string path = testing::TempDir() + "/qd_checkpoint_corrupt.bin";
-  save_checkpoint(make_checkpoint(f.global, f.stores), path);
-  auto bytes = [&] {
-    std::ifstream in(path, std::ios::binary);
-    return std::vector<char>(std::istreambuf_iterator<char>(in), {});
-  }();
-  // Truncated file.
-  {
-    std::ofstream out(path, std::ios::binary | std::ios::trunc);
-    out.write(bytes.data(), static_cast<std::streamsize>(bytes.size() / 2));
+  const std::string path = testing::TempDir() + "/qd_checkpoint_corrupt.qdcp";
+  save_store_file(make_checkpoint(f.global, f.stores), path);
+  const auto bytes = read_file(path);
+  ASSERT_EQ(bytes.size() % store::kPageSize, 0u);
+  for (std::size_t len = 0; len < bytes.size(); len += store::kPageSize / 2) {
+    write_file(path, std::vector<char>(bytes.begin(), bytes.begin() + static_cast<std::ptrdiff_t>(len)));
+    EXPECT_THROW(load_checkpoint(path), store::StoreError) << "truncated to " << len;
   }
-  EXPECT_THROW(load_checkpoint(path), std::invalid_argument);
-  // Bit-flipped file.
-  bytes[bytes.size() / 2] ^= 0x04;
-  {
-    std::ofstream out(path, std::ios::binary | std::ios::trunc);
-    out.write(bytes.data(), static_cast<std::streamsize>(bytes.size()));
+  for (std::size_t at = 0; at < bytes.size(); at += 61) {
+    auto flipped = bytes;
+    flipped[at] = static_cast<char>(flipped[at] ^ 0x04);
+    write_file(path, flipped);
+    EXPECT_THROW(load_checkpoint(path), store::StoreError) << "bit flip at byte " << at;
   }
-  EXPECT_THROW(load_checkpoint(path), std::invalid_argument);
   std::remove(path.c_str());
 }
 
@@ -260,17 +276,23 @@ TEST(CheckpointTest, CursorWithBadRngStateRejected) {
 
 TEST(CheckpointTest, FileRoundTrip) {
   Fixture f;
-  const std::string path = testing::TempDir() + "/qd_checkpoint_test.bin";
+  const std::string path = testing::TempDir() + "/qd_checkpoint_test.qdcp";
   const auto cp = make_checkpoint(f.global, f.stores);
-  save_checkpoint(cp, path);
+  save_store_file(cp, path);
   const auto loaded = load_checkpoint(path);
+  EXPECT_EQ(serialize_checkpoint(loaded), serialize_checkpoint(cp));
   const auto stores = restore_stores(loaded);
   expect_stores_equal(stores[0], f.stores[0]);
   std::remove(path.c_str());
 }
 
 TEST(CheckpointTest, LoadMissingFileThrows) {
-  EXPECT_THROW(load_checkpoint("/nonexistent/qd.bin"), std::runtime_error);
+  EXPECT_THROW(load_checkpoint("/nonexistent/qd.bin"), store::StoreError);
+  // Loading never creates the file it was asked for.
+  const std::string path = testing::TempDir() + "/qd_checkpoint_missing.qdcp";
+  std::remove(path.c_str());
+  EXPECT_THROW(load_checkpoint(path), store::StoreError);
+  EXPECT_FALSE(std::filesystem::exists(path));
 }
 
 TEST(CheckpointTest, FromPartsValidation) {

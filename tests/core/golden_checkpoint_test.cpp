@@ -1,21 +1,30 @@
-// Checkpoint compatibility gate: the committed pre-FlatState golden
-// checkpoint (format v3, per-tensor global state) must keep loading through
-// the v3 shim and evaluating bitwise-identically to the metrics recorded at
-// generation time. QD_GOLDEN_CHECKPOINT is injected by CMake; the file is
-// regenerated ONLY when intentionally re-baselining, via
-// tools/golden_checkpoint_gen (whose deployment config this test mirrors —
-// keep the two in sync).
+// Checkpoint format gate. The committed golden store file holds one
+// checkpoint record of a tiny trained deployment (2 clients, 8x8 synthetic
+// images, width-12 ConvNet; the evaluation context below rebuilds it). It
+// must keep loading and evaluating bitwise-identically to the hexfloat
+// metrics recorded in its metadata, and re-saving it under its own key must
+// reproduce the file byte for byte, which pins the page, index, commit and
+// record formats together. QD_GOLDEN_CHECKPOINT is injected by CMake.
+//
+// Re-baselining, ONLY after an intentional format change: the re-save test
+// writes the file the current code produces to
+// <gtest TempDir>/qd_golden_resaved.qdcp; copy that file over the golden.
 
 #include <gtest/gtest.h>
 
 #include <cstdio>
+#include <filesystem>
+#include <fstream>
+#include <iterator>
 #include <string>
+#include <vector>
 
 #include "core/checkpoint.h"
 #include "data/synthetic.h"
 #include "metrics/evaluate.h"
 #include "nn/convnet.h"
 #include "nn/state.h"
+#include "store/store.h"
 #include "util/rng.h"
 
 namespace {
@@ -34,16 +43,31 @@ std::string metadata_at(const core::Checkpoint& cp, const std::string& key) {
   return it == cp.metadata.end() ? std::string() : it->second;
 }
 
-TEST(GoldenCheckpoint, V3FileLoadsAndEvaluatesBitwiseIdentically) {
-  const core::Checkpoint cp = core::load_checkpoint(QD_GOLDEN_CHECKPOINT);
+std::vector<char> read_file(const std::string& path) {
+  std::ifstream in(path, std::ios::binary);
+  return {std::istreambuf_iterator<char>(in), {}};
+}
 
-  ASSERT_EQ(metadata_at(cp, "golden.format"), "v3");
+/// A scratch copy of the golden to open as a store: recovery may truncate a
+/// torn tail, and the committed file must stay exactly as it is.
+std::string golden_copy(const std::string& name) {
+  const std::string path = ::testing::TempDir() + name;
+  std::filesystem::copy_file(QD_GOLDEN_CHECKPOINT, path,
+                             std::filesystem::copy_options::overwrite_existing);
+  return path;
+}
+
+TEST(GoldenCheckpoint, StoreFileLoadsAndEvaluatesBitwiseIdentically) {
+  const std::string copy = golden_copy("qd_golden_load.qdcp");
+  const core::Checkpoint cp = core::load_checkpoint(copy);
+  std::remove(copy.c_str());
+
+  ASSERT_EQ(metadata_at(cp, "golden.format"), "v4");
   ASSERT_FALSE(cp.global.empty());
   ASSERT_TRUE(cp.global.layout() != nullptr);
   EXPECT_TRUE(nn::all_finite(cp.global));
 
-  // Rebuild the generator's evaluation context (mirror of
-  // tools/golden_checkpoint_gen.cpp — keep in sync).
+  // Rebuild the deployment's evaluation context.
   data::SyntheticSpec spec;
   spec.num_classes = 3;
   spec.channels = 1;
@@ -63,7 +87,7 @@ TEST(GoldenCheckpoint, V3FileLoadsAndEvaluatesBitwiseIdentically) {
   Rng rng(65);
   auto model = nn::make_convnet(net, rng);
 
-  // The repacked flat state must carry the layout the current model derives.
+  // The flat state must carry the layout the current model derives.
   EXPECT_EQ(cp.global.layout()->hash(), nn::StateLayout::of(*model)->hash());
   nn::load_state(*model, cp.global);
 
@@ -88,19 +112,26 @@ TEST(GoldenCheckpoint, V3FileLoadsAndEvaluatesBitwiseIdentically) {
   for (const auto& store : stores) EXPECT_GT(store.total_samples(), 0);
 }
 
-TEST(GoldenCheckpoint, RewritingTheGoldenProducesCurrentFormat) {
-  // Round-tripping the loaded checkpoint through the current serializer
-  // upgrades it to v4 (flat global) without changing any content.
-  const core::Checkpoint cp = core::load_checkpoint(QD_GOLDEN_CHECKPOINT);
-  const auto bytes = core::serialize_checkpoint(cp);
-  const core::Checkpoint back = core::deserialize_checkpoint(bytes);
-  ASSERT_EQ(back.global.numel(), cp.global.numel());
-  for (std::int64_t i = 0; i < cp.global.numel(); ++i) {
-    ASSERT_EQ(back.global.at(i), cp.global.at(i)) << "flat index " << i;
+TEST(GoldenCheckpoint, ResavingTheGoldenIsByteIdentical) {
+  const std::string copy = golden_copy("qd_golden_keys.qdcp");
+  store::Store golden(copy);
+  const auto keys = golden.keys();
+  ASSERT_EQ(keys.size(), 1u);
+  const store::Key key = keys.front();
+  ASSERT_EQ(key.kind, core::kRecordCheckpoint);
+  const core::Checkpoint cp = core::deserialize_checkpoint(golden.get(key));
+  EXPECT_EQ(core::checkpoint_layout_hash(cp), key.layout_hash);
+  std::remove(copy.c_str());
+
+  const std::string resaved = ::testing::TempDir() + "qd_golden_resaved.qdcp";
+  std::remove(resaved.c_str());
+  {
+    store::Store fresh(resaved);
+    core::save_checkpoint(cp, fresh, key.cursor);
   }
-  EXPECT_EQ(back.global.layout()->hash(), cp.global.layout()->hash());
-  EXPECT_EQ(back.metadata, cp.metadata);
-  ASSERT_EQ(back.clients.size(), cp.clients.size());
+  EXPECT_TRUE(read_file(resaved) == read_file(QD_GOLDEN_CHECKPOINT))
+      << "re-saved golden differs from the committed file; the current bytes are in "
+      << resaved;
 }
 
 }  // namespace

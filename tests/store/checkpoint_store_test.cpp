@@ -1,10 +1,12 @@
 // Checkpoint persistence through the crash-safe store: store-backed
-// round-trips, round-over-round dedup, latest-record lookup, format sniffing
-// against legacy blob checkpoints, and the atomic plain-file save path.
+// round-trips, round-over-round dedup, latest-record lookup, and
+// load_checkpoint(path) reading store files while refusing every other file
+// untouched.
 #include <gtest/gtest.h>
 
 #include <cstdio>
 #include <fstream>
+#include <iterator>
 #include <string>
 #include <vector>
 
@@ -114,38 +116,32 @@ TEST(CheckpointStoreTest, LatestRoundAndLatestCheckpointFindTheNewest) {
   expect_checkpoints_identical(cp, latest);
 }
 
-TEST(CheckpointStoreTest, LoadCheckpointSniffsStoreFilesAndLegacyBlobs) {
+TEST(CheckpointStoreTest, LoadCheckpointReadsStoreFilesAndRefusesOthers) {
   Fixture f;
-  auto cp = make_checkpoint(f.global, f.stores);
-  cp.metadata["origin"] = "store";
+  const auto cp = make_checkpoint(f.global, f.stores);
   // A store file at `path` loads its latest committed record...
-  const auto store_path = temp_path("sniff.qds");
+  const auto store_path = temp_path("load.qds");
   {
     store::Store store(store_path);
     save_checkpoint(cp, store, 4);
   }
   expect_checkpoints_identical(cp, load_checkpoint(store_path));
-  // ...and a legacy single-blob file still parses through the same entry
-  // point (the atomic plain-file writer produces the legacy format).
-  cp.metadata["origin"] = "blob";
-  const auto blob_path = temp_path("sniff.blob");
-  save_checkpoint(cp, blob_path);
-  EXPECT_FALSE(store::Store::sniff(blob_path));
-  expect_checkpoints_identical(cp, load_checkpoint(blob_path));
-}
-
-TEST(CheckpointStoreTest, AtomicFileSaveReplacesExistingCheckpointCleanly) {
-  Fixture f;
-  auto cp = make_checkpoint(f.global, f.stores);
-  const auto path = temp_path("atomic.blob");
-  cp.metadata["version"] = "one";
-  save_checkpoint(cp, path);
-  cp.metadata["version"] = "two";
-  save_checkpoint(cp, path);  // tmp + rename over the existing file
-  EXPECT_EQ(load_checkpoint(path).metadata.at("version"), "two");
-  // No stray temp files left beside the checkpoint.
-  std::ifstream tmp(path + ".tmp");
-  EXPECT_FALSE(tmp.good());
+  // ...and any other file throws without being opened as a store, which
+  // would overwrite it at the first commit: a bare serialized checkpoint and
+  // an empty file keep their exact bytes.
+  const auto blob = serialize_checkpoint(cp);
+  for (const auto& bytes : {blob, std::vector<std::uint8_t>{}}) {
+    const auto path = temp_path("load.blob");
+    {
+      std::ofstream out(path, std::ios::binary);
+      out.write(reinterpret_cast<const char*>(bytes.data()),
+                static_cast<std::streamsize>(bytes.size()));
+    }
+    EXPECT_THROW(load_checkpoint(path), store::StoreError);
+    std::ifstream in(path, std::ios::binary);
+    const std::vector<std::uint8_t> after{std::istreambuf_iterator<char>(in), {}};
+    EXPECT_EQ(after, bytes);
+  }
 }
 
 }  // namespace

@@ -13,9 +13,16 @@
 //
 // Fault tolerance: `train` accepts --fault-crash/--fault-straggler/
 // --fault-corrupt/--fault-stale rates plus --quorum/--max-attempts defenses
-// (all persisted in the checkpoint metadata), --checkpoint-every K to write a
+// (all persisted in the checkpoint metadata), --checkpoint-every K to commit a
 // resumable partial checkpoint every K rounds, and --resume to continue a
 // killed run from its last completed round.
+//
+// Every checkpoint file is a crash-safe store (store/store.h): each command
+// commits its result as the record keyed round = the federation's rounds, and
+// `train --checkpoint-every` adds one record per partial round. A command that
+// starts a new history (train without --resume, unlearn, relearn, serve --out)
+// drops the output file's old records in the same commit, so a crash at any
+// point leaves either the old deployment or the new one.
 //
 // Checkpoints are self-describing: train embeds the federation configuration
 // (dataset, clients, partition, seeds, model geometry, fault model) in the
@@ -143,12 +150,6 @@ struct FedSpec {
       }
       return it->second;
     };
-    // Fault keys default when absent so pre-fault-runtime metadata still
-    // loads.
-    auto get_or = [&](const char* key, const std::string& fallback) {
-      const auto it = m.find(key);
-      return it == m.end() ? fallback : it->second;
-    };
     s.dataset = get("dataset");
     s.clients = std::stoi(get("clients"));
     s.alpha = std::stod(get("alpha"));
@@ -161,15 +162,15 @@ struct FedSpec {
     s.width = std::stoi(get("width"));
     s.depth = std::stoi(get("depth"));
     s.seed = std::stoull(get("seed"));
-    s.fault_crash = std::stod(get_or("fault_crash", "0"));
-    s.fault_straggler = std::stod(get_or("fault_straggler", "0"));
-    s.fault_corrupt = std::stod(get_or("fault_corrupt", "0"));
-    s.fault_stale = std::stod(get_or("fault_stale", "0"));
-    s.fault_seed = std::stoull(get_or("fault_seed", "7"));
-    s.quorum = std::stod(get_or("quorum", "0"));
-    s.max_attempts = std::stoi(get_or("max_attempts", "1"));
-    s.outlier_mult = std::stod(get_or("outlier_mult", "8"));
-    s.quantize = get_or("quantize", "off");  // pre-quantization checkpoints
+    s.fault_crash = std::stod(get("fault_crash"));
+    s.fault_straggler = std::stod(get("fault_straggler"));
+    s.fault_corrupt = std::stod(get("fault_corrupt"));
+    s.fault_stale = std::stod(get("fault_stale"));
+    s.fault_seed = std::stoull(get("fault_seed"));
+    s.quorum = std::stod(get("quorum"));
+    s.max_attempts = std::stoi(get("max_attempts"));
+    s.outlier_mult = std::stod(get("outlier_mult"));
+    s.quantize = get("quantize");
     qd::fl::codec_from_string(s.quantize);
     return s;
   }
@@ -256,6 +257,36 @@ qd::core::UnlearningRequest request_from_flags(qd::CliFlags& flags) {
                        : qd::core::UnlearningRequest::for_client(client_id);
 }
 
+/// Stages the erasure of every record in `store`. The erasure becomes durable
+/// with the next commit, so until the new history's first record commits, the
+/// file still loads the old deployment.
+void start_over(qd::store::Store& store) {
+  for (const auto& key : store.keys()) store.erase(key);
+}
+
+void print_store_stats(qd::store::Store& store) {
+  const auto stats = store.stats();
+  std::printf("store file: seq %llu, %llu records, %llu live / %llu file pages\n",
+              static_cast<unsigned long long>(stats.committed_seq),
+              static_cast<unsigned long long>(stats.records),
+              static_cast<unsigned long long>(stats.live_pages),
+              static_cast<unsigned long long>(stats.file_pages));
+}
+
+/// Commits `cp` as the final record (round = `rounds`) of `store`.
+void commit_final(const qd::core::Checkpoint& cp, qd::store::Store& store, int rounds) {
+  qd::core::save_checkpoint(cp, store, static_cast<std::uint64_t>(rounds));
+  std::printf("checkpoint committed to %s\n", store.path().c_str());
+  print_store_stats(store);
+}
+
+/// Writes `cp` as the only record of the store file at `path`.
+void write_checkpoint(const qd::core::Checkpoint& cp, const std::string& path, int rounds) {
+  qd::store::Store store(path);
+  start_over(store);
+  commit_final(cp, store, rounds);
+}
+
 int cmd_train(qd::CliFlags& flags) {
   auto spec = FedSpec::from_flags(flags);
   const auto out = flags.get_string("out", "model.qdcp");
@@ -290,13 +321,12 @@ int cmd_train(qd::CliFlags& flags) {
                 spec.dataset.c_str(), spec.rounds, spec.scale);
   }
 
-  // With --checkpoint-every the output file is a crash-safe store: every
-  // partial checkpoint is a committed transaction, rounds dedup unchanged
-  // pages against each other, and a kill at any point reopens to the last
-  // committed round. Without it, the output is a legacy single-blob
-  // checkpoint (written atomically). load_checkpoint() sniffs either format.
-  std::optional<qd::store::Store> store;
-  if (checkpoint_every > 0) store.emplace(out);
+  // Every partial checkpoint is a committed transaction, rounds dedup
+  // unchanged pages against each other, and a kill at any point reopens to
+  // the last committed round. --resume continues the file's history; a fresh
+  // run starts it over.
+  qd::store::Store store(out);
+  if (!resume) start_over(store);
   qd::fl::RoundCursorCallback cursor_cb;
   if (checkpoint_every > 0) {
     cursor_cb = [&](int round, const qd::nn::ModelState& state, const qd::Rng& rng) {
@@ -305,9 +335,9 @@ int cmd_train(qd::CliFlags& flags) {
       auto cp = qd::core::make_checkpoint(state, fed.quickdrop->stores());
       cp.metadata = spec.to_metadata();
       cp.cursor = qd::core::RoundCursor{"train", done, rng.serialize()};
-      qd::core::save_checkpoint(cp, *store, static_cast<std::uint64_t>(done));
+      qd::core::save_checkpoint(cp, store, static_cast<std::uint64_t>(done));
       std::printf("  partial checkpoint at round %d committed to %s (seq %llu)\n", done,
-                  out.c_str(), static_cast<unsigned long long>(store->committed_seq()));
+                  out.c_str(), static_cast<unsigned long long>(store.committed_seq()));
     };
   }
 
@@ -325,19 +355,7 @@ int cmd_train(qd::CliFlags& flags) {
   }
   auto cp = qd::core::make_checkpoint(state, fed.quickdrop->stores());
   cp.metadata = spec.to_metadata();
-  if (store) {
-    qd::core::save_checkpoint(cp, *store, static_cast<std::uint64_t>(spec.rounds));
-    const auto stats = store->stats();
-    std::printf("checkpoint committed to %s (seq %llu, %llu records, %llu live / %llu file "
-                "pages)\n",
-                out.c_str(), static_cast<unsigned long long>(stats.committed_seq),
-                static_cast<unsigned long long>(stats.records),
-                static_cast<unsigned long long>(stats.live_pages),
-                static_cast<unsigned long long>(stats.file_pages));
-  } else {
-    qd::core::save_checkpoint(cp, out);
-    std::printf("checkpoint written to %s\n", out.c_str());
-  }
+  commit_final(cp, store, spec.rounds);
   return 0;
 }
 
@@ -360,16 +378,9 @@ int cmd_eval(qd::CliFlags& flags) {
 int cmd_inspect(qd::CliFlags& flags) {
   const auto path = flags.get_string("checkpoint", "model.qdcp");
   flags.check_unused();
-  if (qd::store::Store::sniff(path)) {
-    qd::store::Store store(path);
-    const auto stats = store.stats();
-    std::printf("store file: seq %llu, %llu records, %llu live / %llu file pages\n",
-                static_cast<unsigned long long>(stats.committed_seq),
-                static_cast<unsigned long long>(stats.records),
-                static_cast<unsigned long long>(stats.live_pages),
-                static_cast<unsigned long long>(stats.file_pages));
-  }
-  const auto cp = qd::core::load_checkpoint(path);
+  const auto cp = qd::core::load_checkpoint(path);  // refuses non-store files untouched
+  qd::store::Store store(path);
+  print_store_stats(store);
   std::printf("checkpoint %s\n", path.c_str());
   for (const auto& [key, value] : cp.metadata) std::printf("  %s = %s\n", key.c_str(), value.c_str());
   std::printf("  model parameters: %lld tensors, %lld bytes\n",
@@ -401,8 +412,7 @@ int cmd_unlearn(qd::CliFlags& flags) {
   print_eval(fed, state);
   auto new_cp = qd::core::make_checkpoint(state, fed.quickdrop->stores());
   new_cp.metadata = cp.metadata;
-  qd::core::save_checkpoint(new_cp, out);
-  std::printf("checkpoint written to %s\n", out.c_str());
+  write_checkpoint(new_cp, out, fed.spec.rounds);
   return 0;
 }
 
@@ -417,8 +427,7 @@ int cmd_relearn(qd::CliFlags& flags) {
   print_eval(fed, state);
   auto new_cp = qd::core::make_checkpoint(state, fed.quickdrop->stores());
   new_cp.metadata = cp.metadata;
-  qd::core::save_checkpoint(new_cp, out);
-  std::printf("checkpoint written to %s\n", out.c_str());
+  write_checkpoint(new_cp, out, fed.spec.rounds);
   return 0;
 }
 
@@ -566,8 +575,7 @@ int cmd_serve(qd::CliFlags& flags) {
     auto new_cp = qd::core::make_checkpoint(*final_state, quickdrop->stores());
     new_cp.metadata = cp.metadata;
     new_cp.metadata[qd::serve::kServePolicyKey] = options.policy;
-    qd::core::save_checkpoint(new_cp, options.out);
-    std::printf("checkpoint written to %s\n", options.out.c_str());
+    write_checkpoint(new_cp, options.out, fed.spec.rounds);
   }
   return 0;
 }
