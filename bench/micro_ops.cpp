@@ -11,6 +11,7 @@
 #include <thread>
 #include <vector>
 
+#include "autograd/ops.h"
 #include "core/distillation.h"
 #include "data/synthetic.h"
 #include "fl/client_update.h"
@@ -209,6 +210,33 @@ void BM_DistillMatchStep(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_DistillMatchStep);
+
+// --- Fixed per-op cost on 1-element [1] tensors, where the arithmetic is free:
+// --- the kernel call alone, one graph node on top of it, and a graph
+// --- build plus its backward.
+
+void BM_OpTaxKernelMul(benchmark::State& state) {
+  const qd::Tensor a({1}, {1.5f});
+  const qd::Tensor b({1}, {2.0f});
+  for (auto _ : state) benchmark::DoNotOptimize(k::mul(a, b));
+}
+BENCHMARK(BM_OpTaxKernelMul);
+
+void BM_OpTaxAgMul(benchmark::State& state) {
+  const auto a = qd::ag::Var::leaf(qd::Tensor({1}, {1.5f}));
+  const auto b = qd::ag::Var::leaf(qd::Tensor({1}, {2.0f}));
+  for (auto _ : state) benchmark::DoNotOptimize(qd::ag::mul(a, b));
+}
+BENCHMARK(BM_OpTaxAgMul);
+
+void BM_OpTaxMulSumGrad(benchmark::State& state) {
+  const auto a = qd::ag::Var::leaf(qd::Tensor({1}, {1.5f}));
+  const auto b = qd::ag::Var::leaf(qd::Tensor({1}, {2.0f}));
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(qd::ag::grad(qd::ag::sum_all(qd::ag::mul(a, b)), {a, b}));
+  }
+}
+BENCHMARK(BM_OpTaxMulSumGrad);
 
 // --- Thread sweeps of the parallelized kernels (acceptance: matmul >= 3x at
 // --- 4 threads for n >= 256 on a multicore host).

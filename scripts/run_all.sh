@@ -13,26 +13,33 @@ ctest --test-dir "$BUILD" 2>&1 | tee test_output.txt
 scripts/lint.sh "$BUILD" 2>&1 | tee lint_output.txt
 echo "lint pass exit: ${PIPESTATUS[0]}" | tee -a lint_output.txt
 
-# Sanitizer pass: rebuild the fault-tolerance-critical suites (fl + core)
-# plus the crash-safe store (engine fuzz + kill-point sweep — the recovery
-# scan parses attacker-controlled bytes, exactly where UB would hide) with
+# Runs every named test binary of build dir $1 (the rest of the args), each
+# one even after an earlier one failed, and fails if any of them failed.
+run_each() {
+  local dir="$1" failed=0
+  shift
+  for t in "$@"; do
+    echo "== $t"
+    "$dir/tests/$t" || { echo "FAILED: $t"; failed=1; }
+  done
+  return "$failed"
+}
+
+# Sanitizer pass: rebuild the fault-tolerance-critical suites (fl + core),
+# the tensor kernels and the autograd graph (uninitialized kernel outputs
+# and inline graph-node parents are exactly what ASan must see), plus the
+# crash-safe store (engine fuzz + kill-point sweep — the recovery scan
+# parses attacker-controlled bytes, exactly where UB would hide) with
 # ASan/UBSan and run the binaries directly. UBSan reports abort the binary,
 # so any report fails the pass.
 SAN_BUILD="${BUILD}-asan"
+SAN_TESTS=(fl_test nn_test core_test util_test tensor_test autograd_test store_test
+  store_crash_sweep_test lint_test lint_driver_test net_test)
 {
   cmake -B "$SAN_BUILD" -S . -DQUICKDROP_SANITIZE="address;undefined" \
     -DCMAKE_CXX_FLAGS="-fno-sanitize-recover=undefined" &&
-  cmake --build "$SAN_BUILD" -j --target fl_test core_test util_test nn_test \
-    store_test store_crash_sweep_test lint_test lint_driver_test net_test &&
-  "$SAN_BUILD"/tests/fl_test &&
-  "$SAN_BUILD"/tests/nn_test &&
-  "$SAN_BUILD"/tests/core_test &&
-  "$SAN_BUILD"/tests/util_test &&
-  "$SAN_BUILD"/tests/store_test &&
-  "$SAN_BUILD"/tests/store_crash_sweep_test &&
-  "$SAN_BUILD"/tests/lint_test &&
-  "$SAN_BUILD"/tests/lint_driver_test &&
-  "$SAN_BUILD"/tests/net_test
+  cmake --build "$SAN_BUILD" -j --target "${SAN_TESTS[@]}" &&
+  run_each "$SAN_BUILD" "${SAN_TESTS[@]}"
 } 2>&1 | tee sanitizer_output.txt
 echo "sanitizer pass exit: ${PIPESTATUS[0]}" | tee -a sanitizer_output.txt
 
@@ -41,16 +48,11 @@ echo "sanitizer pass exit: ${PIPESTATUS[0]}" | tee -a sanitizer_output.txt
 # parallel cycles, and run them with an oversubscribed pool so worker
 # interleavings actually happen.
 TSAN_BUILD="${BUILD}-tsan"
+TSAN_TESTS=(util_test tensor_test nn_test fl_test serve_test net_test)
 {
   cmake -B "$TSAN_BUILD" -S . -DQUICKDROP_SANITIZE="thread" &&
-  cmake --build "$TSAN_BUILD" -j --target util_test tensor_test fl_test serve_test \
-    net_test nn_test &&
-  QUICKDROP_THREADS=4 "$TSAN_BUILD"/tests/util_test &&
-  QUICKDROP_THREADS=4 "$TSAN_BUILD"/tests/tensor_test &&
-  QUICKDROP_THREADS=4 "$TSAN_BUILD"/tests/nn_test &&
-  QUICKDROP_THREADS=4 "$TSAN_BUILD"/tests/fl_test &&
-  QUICKDROP_THREADS=4 "$TSAN_BUILD"/tests/serve_test &&
-  QUICKDROP_THREADS=4 "$TSAN_BUILD"/tests/net_test
+  cmake --build "$TSAN_BUILD" -j --target "${TSAN_TESTS[@]}" &&
+  QUICKDROP_THREADS=4 run_each "$TSAN_BUILD" "${TSAN_TESTS[@]}"
 } 2>&1 | tee tsan_output.txt
 echo "tsan pass exit: ${PIPESTATUS[0]}" | tee -a tsan_output.txt
 

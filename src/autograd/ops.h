@@ -44,8 +44,8 @@ Var im2col(const Var& x, int k, int pad, int stride);
 Var col2im(const Var& cols, Shape image_shape, int k, int pad, int stride);
 
 /// Sum down to a broadcast-compatible shape; adjoint pair with broadcast_to.
-Var reduce_sum_to(const Var& a, Shape target_shape);
-Var broadcast_to(const Var& a, Shape shape);
+Var reduce_sum_to(const Var& a, const Shape& target_shape);
+Var broadcast_to(const Var& a, const Shape& shape);
 
 // ---- Composite helpers (built from primitives; no new VJPs) ----
 

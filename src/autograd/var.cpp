@@ -2,26 +2,17 @@
 
 #include <stdexcept>
 #include <unordered_map>
-#include <unordered_set>
 
 #include "autograd/ops.h"
 
 namespace quickdrop::ag {
 
 Var Var::leaf(Tensor value) {
-  auto n = std::make_shared<detail::Node>();
-  n->value = std::move(value);
-  n->requires_grad = true;
-  n->op = "leaf";
-  return Var(std::move(n));
+  return Var(std::make_shared<detail::Node>(std::move(value), "leaf", true));
 }
 
 Var Var::constant(Tensor value) {
-  auto n = std::make_shared<detail::Node>();
-  n->value = std::move(value);
-  n->requires_grad = false;
-  n->op = "const";
-  return Var(std::move(n));
+  return Var(std::make_shared<detail::Node>(std::move(value), "const", false));
 }
 
 const Tensor& Var::value() const {
@@ -38,58 +29,78 @@ bool Var::requires_grad() const { return node_ && node_->requires_grad; }
 
 Var Var::detach() const { return constant(value()); }
 
-Var Var::make_op(const char* op, Tensor value, std::vector<Var> parents, VjpFn vjp) {
-  auto n = std::make_shared<detail::Node>();
-  n->value = std::move(value);
-  n->op = op;
-  bool any_grad = false;
-  n->parents.reserve(parents.size());
+Var Var::make_op(const char* op, Tensor value, std::initializer_list<Var> parents, VjpFn vjp) {
+  if (parents.size() > 2) throw std::logic_error("Var::make_op: more than two parents");
+  auto n = std::make_shared<detail::Node>(std::move(value), op, false);
   for (const auto& p : parents) {
     if (!p.defined()) throw std::logic_error("Var::make_op: null parent");
-    any_grad = any_grad || p.requires_grad();
-    n->parents.push_back(p.node());
+    n->requires_grad = n->requires_grad || p.requires_grad();
+    n->parents[n->arity++] = p;
   }
-  n->requires_grad = any_grad;
-  if (any_grad) n->vjp = std::move(vjp);  // constants need no backward closure
+  if (n->requires_grad) n->vjp = std::move(vjp);  // constants need no backward closure
   return Var(std::move(n));
 }
 
 namespace {
 
-using NodePtr = std::shared_ptr<detail::Node>;
+using detail::Node;
 
-/// Topological order (parents before children) of the requires_grad subgraph
-/// reachable from `root`, computed iteratively to avoid deep recursion.
-std::vector<NodePtr> topo_order(const NodePtr& root) {
-  std::vector<NodePtr> order;
-  std::unordered_set<detail::Node*> visited;
+/// One requires_grad node of the backward, in topological order.
+struct Entry {
+  Node* node;
+  /// Topological position of each parent, -1 where it takes no gradient.
+  std::int32_t parent_pos[2];
+  bool needed;  // an input, or a node with a needed parent
+};
+
+/// Per-node lookup state of one grad() call.
+struct Mark {
+  std::int32_t pos = -1;  // position in the order once visited
+  bool input = false;
+};
+
+/// Topological order (parents before children) of the requires_grad
+/// subgraph reachable from `root`, by an iterative depth-first walk that
+/// descends into parents in slot order. Each entry records its parents'
+/// positions and whether it is needed. `marks` holds the inputs on entry.
+std::vector<Entry> topo_order(Node* root, std::unordered_map<Node*, Mark>& marks) {
+  std::vector<Entry> order;
   struct Frame {
-    NodePtr node;
-    std::size_t next_parent = 0;
+    Node* node;
+    std::uint8_t next_parent = 0;
+    std::int32_t parent_pos[2] = {-1, -1};
   };
   std::vector<Frame> stack;
-  if (root->requires_grad) stack.push_back({root});
+  stack.push_back({root});
   while (!stack.empty()) {
-    auto& frame = stack.back();
-    if (frame.next_parent == 0) {
-      if (visited.count(frame.node.get())) {
-        stack.pop_back();
+    Frame& frame = stack.back();
+    bool descended = false;
+    while (frame.next_parent < frame.node->arity) {
+      const int i = frame.next_parent++;
+      Node* parent = frame.node->parents[static_cast<std::size_t>(i)].node().get();
+      if (!parent->requires_grad) continue;
+      const auto it = marks.find(parent);
+      if (it != marks.end() && it->second.pos >= 0) {
+        frame.parent_pos[i] = it->second.pos;
         continue;
       }
+      stack.push_back({parent});
+      descended = true;
+      break;
     }
-    bool descended = false;
-    while (frame.next_parent < frame.node->parents.size()) {
-      const auto& parent = frame.node->parents[frame.next_parent++];
-      if (parent->requires_grad && !visited.count(parent.get())) {
-        stack.push_back({parent});
-        descended = true;
-        break;
-      }
+    if (descended) continue;
+    // Every parent is placed: place this node after them.
+    const auto pos = static_cast<std::int32_t>(order.size());
+    Mark& mark = marks[frame.node];
+    mark.pos = pos;
+    Entry e{frame.node, {frame.parent_pos[0], frame.parent_pos[1]}, mark.input};
+    for (const std::int32_t p : e.parent_pos) {
+      e.needed = e.needed || (p >= 0 && order[static_cast<std::size_t>(p)].needed);
     }
-    if (!descended && frame.next_parent >= frame.node->parents.size()) {
-      if (visited.insert(frame.node.get()).second) order.push_back(frame.node);
-      stack.pop_back();
-    }
+    order.push_back(e);
+    stack.pop_back();
+    // The frame below descended into this node from its last-visited slot.
+    if (!stack.empty()) stack.back().parent_pos[stack.back().next_parent - 1] = pos;
   }
   return order;
 }
@@ -102,40 +113,52 @@ std::vector<Var> grad(const Var& output, std::span<const Var> inputs, const Grad
     throw std::invalid_argument("grad: output must be a single element, got shape " +
                                 shape_to_string(output.shape()));
   }
+  for (const auto& input : inputs) {
+    if (!input.defined()) throw std::invalid_argument("grad: null input");
+  }
 
-  // Lookup-only gradient table. Accumulation is driven by the deterministic
+  // Lookup-only table. Accumulation is driven by the deterministic
   // topological sweep below, never by iterating this map — pointer-keyed hash
   // order varies with allocation addresses, so any range-for/begin() walk
   // here would break bitwise reproducibility (enforced statically by
   // qdlint det-unordered-iter; pinned by GradDeterminismTest).
-  std::unordered_map<detail::Node*, Var> grads;
-  if (output.requires_grad()) {
-    grads[output.node().get()] = Var::constant(Tensor::full(output.shape(), 1.0f));
+  std::unordered_map<Node*, Mark> marks;
+  for (const auto& input : inputs) marks[input.node().get()].input = true;
 
-    const auto order = topo_order(output.node());
-    // Children appear after their parents; sweep in reverse.
-    for (auto it = order.rbegin(); it != order.rend(); ++it) {
-      const auto& node = *it;
-      const auto git = grads.find(node.get());
-      if (git == grads.end() || !node->vjp) continue;
-      Var gy = git->second;
-      if (!options.create_graph) gy = gy.detach();
-      const auto parent_grads = node->vjp(gy);
-      if (parent_grads.size() != node->parents.size()) {
-        throw std::logic_error(std::string("grad: vjp arity mismatch in op ") + node->op);
+  std::vector<Entry> order;
+  std::vector<Var> grads;  // by topological position
+  if (output.requires_grad()) {
+    order = topo_order(output.node().get(), marks);
+    grads.resize(order.size());
+    grads.back() = Var::constant(Tensor::full(output.shape(), 1.0f));  // the root is last
+
+    // Children appear after their parents; sweep in reverse. A node that is
+    // not needed leads to no input, so its VJP is skipped; a needed node's
+    // contributors are all needed, so each needed gradient sums the same
+    // terms in the same order as a full backward would.
+    ParentGrads parent_grads;
+    for (std::size_t pos = order.size(); pos-- > 0;) {
+      const Entry& e = order[pos];
+      if (!e.needed || !grads[pos].defined() || !e.node->vjp) continue;
+      unsigned need = 0;
+      for (unsigned i = 0; i < 2; ++i) {
+        const std::int32_t p = e.parent_pos[i];
+        if (p >= 0 && order[static_cast<std::size_t>(p)].needed) need |= 1u << i;
       }
-      for (std::size_t i = 0; i < node->parents.size(); ++i) {
-        const auto& parent = node->parents[i];
-        const auto& pg = parent_grads[i];
-        if (!parent->requires_grad || !pg.defined()) continue;
-        check_same_shape(pg.shape(), parent->value.shape(),
-                         (std::string("grad: vjp shape for op ") + node->op).c_str());
-        auto existing = grads.find(parent.get());
-        if (existing == grads.end()) {
-          grads.emplace(parent.get(), pg);
-        } else {
-          existing->second = add(existing->second, pg);
+      if (need == 0) continue;
+      Var gy = grads[pos];
+      if (!options.create_graph) gy = gy.detach();
+      parent_grads = {};
+      e.node->vjp(*e.node, gy, need, parent_grads);
+      for (unsigned i = 0; i < 2; ++i) {
+        Var& pg = parent_grads[i];
+        if ((need >> i & 1u) == 0 || !pg.defined()) continue;
+        if (pg.shape() != e.node->parents[i].shape()) {
+          check_same_shape(pg.shape(), e.node->parents[i].shape(),
+                           (std::string("grad: vjp shape for op ") + e.node->op).c_str());
         }
+        Var& slot = grads[static_cast<std::size_t>(e.parent_pos[i])];
+        slot = slot.defined() ? add(slot, pg) : std::move(pg);
       }
     }
   }
@@ -143,12 +166,12 @@ std::vector<Var> grad(const Var& output, std::span<const Var> inputs, const Grad
   std::vector<Var> result;
   result.reserve(inputs.size());
   for (const auto& input : inputs) {
-    if (!input.defined()) throw std::invalid_argument("grad: null input");
-    const auto it = grads.find(input.node().get());
-    if (it == grads.end()) {
+    const std::int32_t pos = marks.find(input.node().get())->second.pos;
+    const Var* g = pos >= 0 ? &grads[static_cast<std::size_t>(pos)] : nullptr;
+    if (g == nullptr || !g->defined()) {
       result.push_back(Var::constant(Tensor::zeros(input.shape())));
     } else {
-      result.push_back(options.create_graph ? it->second : it->second.detach());
+      result.push_back(options.create_graph ? *g : g->detach());
     }
   }
   return result;
@@ -156,8 +179,7 @@ std::vector<Var> grad(const Var& output, std::span<const Var> inputs, const Grad
 
 std::vector<Var> grad(const Var& output, std::initializer_list<Var> inputs,
                       const GradOptions& options) {
-  const std::vector<Var> v(inputs);
-  return grad(output, std::span<const Var>(v), options);
+  return grad(output, std::span<const Var>(inputs.begin(), inputs.size()), options);
 }
 
 }  // namespace quickdrop::ag

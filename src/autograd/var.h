@@ -9,7 +9,10 @@
 // a distance between parameter gradients with respect to synthetic pixels.
 #pragma once
 
+#include <array>
+#include <cstdint>
 #include <functional>
+#include <initializer_list>
 #include <memory>
 #include <span>
 #include <string>
@@ -21,20 +24,21 @@ namespace quickdrop::ag {
 
 class Var;
 
-/// Maps the gradient w.r.t. a node's output to gradients w.r.t. its parents
-/// (same order as the parents vector; a default-constructed Var means "no
-/// gradient for this parent").
-using VjpFn = std::function<std::vector<Var>(const Var& grad_output)>;
-
 namespace detail {
-struct Node {
-  Tensor value;
-  bool requires_grad = false;
-  std::vector<std::shared_ptr<Node>> parents;
-  VjpFn vjp;          // empty for leaves and constants
-  const char* op = "";  // op name, for diagnostics
-};
+struct Node;
 }  // namespace detail
+
+/// Gradients a VJP writes, slot i for parent i. A slot left undefined means
+/// "no gradient for this parent".
+using ParentGrads = std::array<Var, 2>;
+
+/// Maps the gradient w.r.t. `node`'s output to gradients w.r.t. its parents,
+/// read from node.parents. Bit i of `need` is set when parent i's gradient
+/// is wanted; the VJP builds only those terms. grad() calls it only with a
+/// non-zero `need`.
+using VjpFn =
+    std::function<void(const detail::Node& node, const Var& grad_output, unsigned need,
+                        ParentGrads& out)>;
 
 /// Handle to a graph node. Cheap to copy; the graph is reference counted and
 /// freed when the last handle to it is dropped.
@@ -63,8 +67,9 @@ class Var {
   /// A constant view of this value: gradients do not flow past it.
   [[nodiscard]] Var detach() const;
 
-  /// Internal: constructs an op node. Used by ops.cpp.
-  static Var make_op(const char* op, Tensor value, std::vector<Var> parents, VjpFn vjp);
+  /// Internal: constructs an op node with at most two parents. Used by
+  /// ops.cpp.
+  static Var make_op(const char* op, Tensor value, std::initializer_list<Var> parents, VjpFn vjp);
 
   [[nodiscard]] const std::shared_ptr<detail::Node>& node() const { return node_; }
 
@@ -72,6 +77,22 @@ class Var {
   explicit Var(std::shared_ptr<detail::Node> node) : node_(std::move(node)) {}
   std::shared_ptr<detail::Node> node_;
 };
+
+namespace detail {
+/// A graph node. Every primitive has one or two parents, held inline, so
+/// building a node allocates the node and its value and nothing else.
+struct Node {
+  Node(Tensor v, const char* name, bool grad)
+      : value(std::move(v)), requires_grad(grad), op(name) {}
+
+  Tensor value;
+  bool requires_grad = false;
+  std::uint8_t arity = 0;  // parents[0, arity) are set
+  std::array<Var, 2> parents;
+  VjpFn vjp;            // empty for leaves and constants
+  const char* op = "";  // op name, for diagnostics
+};
+}  // namespace detail
 
 /// Options for grad().
 struct GradOptions {
@@ -84,6 +105,8 @@ struct GradOptions {
 /// Reverse-mode gradient of a scalar `output` w.r.t. each of `inputs`.
 /// Inputs that do not influence the output receive zero gradients of their
 /// own shape. Throws std::invalid_argument if output is not a single element.
+/// The backward visits only nodes that depend on an input, and asks each VJP
+/// only for the parent terms that lead to one.
 std::vector<Var> grad(const Var& output, std::span<const Var> inputs,
                       const GradOptions& options = {});
 

@@ -39,7 +39,7 @@ Dataset::Dataset(Tensor images, std::vector<int> labels, int num_classes)
 Tensor Dataset::image(int i) const {
   if (i < 0 || i >= size()) throw std::out_of_range("Dataset::image: index out of range");
   const std::int64_t stride = numel(image_shape_);
-  Tensor out(image_shape_);
+  Tensor out = Tensor::uninitialized(image_shape_);
   std::memcpy(out.data().data(), images_.data().data() + i * stride,
               static_cast<std::size_t>(stride) * sizeof(float));
   return out;
@@ -47,7 +47,8 @@ Tensor Dataset::image(int i) const {
 
 std::pair<Tensor, std::vector<int>> Dataset::batch(const std::vector<int>& indices) const {
   const std::int64_t stride = numel(image_shape_);
-  Tensor out(with_batch(image_shape_, static_cast<std::int64_t>(indices.size())));
+  Tensor out =
+      Tensor::uninitialized(with_batch(image_shape_, static_cast<std::int64_t>(indices.size())));
   std::vector<int> labels;
   labels.reserve(indices.size());
   for (std::size_t b = 0; b < indices.size(); ++b) {
@@ -83,7 +84,7 @@ Dataset Dataset::concat(const Dataset& a, const Dataset& b) {
   if (a.image_shape_ != b.image_shape_ || a.num_classes_ != b.num_classes_) {
     throw std::invalid_argument("Dataset::concat: geometry mismatch");
   }
-  Tensor images(with_batch(a.image_shape_, a.size() + b.size()));
+  Tensor images = Tensor::uninitialized(with_batch(a.image_shape_, a.size() + b.size()));
   const std::size_t abytes = a.images_.data().size() * sizeof(float);
   std::memcpy(images.data().data(), a.images_.data().data(), abytes);
   std::memcpy(reinterpret_cast<std::uint8_t*>(images.data().data()) + abytes,

@@ -14,6 +14,11 @@
 // by the chunk layout. Results are therefore bit-identical at any thread
 // count, including the serial fallback at 1 thread.
 //
+// Outputs: the pure maps and gathers (binary_op, map_runs, gather,
+// transpose2d) write every output element, so they start from an
+// uninitialized tensor; the accumulating kernels (matmul, reduce_sum_to,
+// col2im) and im2col, whose padding is never written, start from zeros.
+//
 // Contiguous runs: the broadcast, gather and reduction kernels first
 // coalesce their index space (merge adjacent dims every operand walks
 // contiguously, drop extent-1 dims), then run an outer odometer around a
@@ -132,7 +137,7 @@ void for_each_run(const Walk<Ops>& w, std::int64_t lo, std::int64_t hi, Run&& ru
 /// Gathers out[flat] = src[offset(flat)] along a one-operand walk of
 /// `out_shape`. A pure per-element map: bit-stable under any partition.
 Tensor gather(const Tensor& a, Walk<1> w, const Shape& out_shape) {
-  Tensor out(out_shape);
+  Tensor out = Tensor::uninitialized(out_shape);
   if (out.numel() == 0) return out;
   coalesce(w);
   const std::int64_t s = w.stride[0][w.rank - 1];
@@ -170,7 +175,7 @@ Tensor binary_op(const Tensor& a, const Tensor& b, simd::BinaryOp op, const char
                                   shape_to_string(b.shape()));
     }
   }
-  Tensor out(out_shape);
+  Tensor out = Tensor::uninitialized(out_shape);
   if (out.numel() == 0) return out;
   auto w = walk_over<2>(out_shape);
   set_broadcast_strides(w, 0, a.shape());
@@ -208,7 +213,7 @@ Tensor binary_op(const Tensor& a, const Tensor& b, simd::BinaryOp op, const char
 /// Applies run(o, x, n) over disjoint slices of a's flat buffer.
 template <typename Run>
 Tensor map_runs(const Tensor& a, Run run) {
-  Tensor out(a.shape());
+  Tensor out = Tensor::uninitialized(a.shape());
   const float* da = a.data().data();
   float* od = out.data().data();
   ThreadPool::global().parallel_for(
@@ -305,7 +310,7 @@ Tensor matmul(const Tensor& a, const Tensor& b) {
 Tensor transpose2d(const Tensor& a) {
   if (a.rank() != 2) throw std::invalid_argument("transpose2d: rank must be 2");
   const std::int64_t m = a.dim(0), n = a.dim(1);
-  Tensor out({n, m});
+  Tensor out = Tensor::uninitialized({n, m});
   const float* da = a.data().data();
   float* od = out.data().data();
   const auto tile = simd::active().transpose8x8;

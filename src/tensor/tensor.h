@@ -3,6 +3,9 @@
 // Tensor is a cheap-to-copy handle: copies alias the same buffer (like
 // torch.Tensor). Use clone() for a deep copy. All tensors are contiguous and
 // row-major; views are not supported — ops materialize their results.
+//
+// Storage is one shared float array: a fresh tensor is a single allocation
+// holding both the reference count and the elements.
 #pragma once
 
 #include <memory>
@@ -23,7 +26,12 @@ class Tensor {
   explicit Tensor(Shape shape);
 
   /// Tensor adopting the given values; values.size() must equal numel(shape).
+  /// The vector's buffer becomes the tensor's storage (no copy).
   Tensor(Shape shape, std::vector<float> values);
+
+  /// Tensor of the given shape whose elements are left unset. For kernels
+  /// that write every element before anything reads one.
+  static Tensor uninitialized(Shape shape);
 
   /// Factories.
   static Tensor zeros(Shape shape);
@@ -35,20 +43,24 @@ class Tensor {
   static Tensor scalar(float value) { return Tensor({}, {value}); }
 
   [[nodiscard]] const Shape& shape() const { return shape_; }
-  [[nodiscard]] std::int64_t numel() const { return static_cast<std::int64_t>(data_->size()); }
+  [[nodiscard]] std::int64_t numel() const { return numel_; }
   [[nodiscard]] std::int64_t dim(int i) const { return shape_.at(static_cast<std::size_t>(i)); }
   [[nodiscard]] int rank() const { return static_cast<int>(shape_.size()); }
 
   /// Flat element access.
-  [[nodiscard]] float& at(std::int64_t i) { return (*data_)[static_cast<std::size_t>(i)]; }
-  [[nodiscard]] float at(std::int64_t i) const { return (*data_)[static_cast<std::size_t>(i)]; }
+  [[nodiscard]] float& at(std::int64_t i) { return data_[i]; }
+  [[nodiscard]] float at(std::int64_t i) const { return data_[i]; }
 
   /// Raw contiguous storage.
-  [[nodiscard]] std::span<float> data() { return {data_->data(), data_->size()}; }
-  [[nodiscard]] std::span<const float> data() const { return {data_->data(), data_->size()}; }
+  [[nodiscard]] std::span<float> data() { return {data_.get(), static_cast<std::size_t>(numel_)}; }
+  [[nodiscard]] std::span<const float> data() const {
+    return {data_.get(), static_cast<std::size_t>(numel_)};
+  }
 
   /// True if two handles alias the same buffer.
-  [[nodiscard]] bool same_storage(const Tensor& other) const { return data_ == other.data_; }
+  [[nodiscard]] bool same_storage(const Tensor& other) const {
+    return !data_.owner_before(other.data_) && !other.data_.owner_before(data_);
+  }
 
   /// Deep copy.
   [[nodiscard]] Tensor clone() const;
@@ -71,12 +83,13 @@ class Tensor {
   [[nodiscard]] float max_abs() const;
 
  private:
-  /// Adopts existing storage under `shape` (numel already checked).
-  Tensor(Shape shape, std::shared_ptr<std::vector<float>> data)
-      : shape_(std::move(shape)), data_(std::move(data)) {}
+  /// Adopts existing storage of `numel` elements under `shape`.
+  Tensor(Shape shape, std::shared_ptr<float[]> data, std::int64_t numel)
+      : shape_(std::move(shape)), data_(std::move(data)), numel_(numel) {}
 
   Shape shape_;
-  std::shared_ptr<std::vector<float>> data_;
+  std::shared_ptr<float[]> data_;
+  std::int64_t numel_ = 0;
 };
 
 }  // namespace quickdrop

@@ -1,5 +1,6 @@
 #include "util/thread_pool.h"
 
+#include <algorithm>
 #include <atomic>
 #include <condition_variable>
 #include <cstdlib>
@@ -87,8 +88,9 @@ struct ThreadPool::Impl {
   }
 };
 
-ThreadPool::ThreadPool(int threads) : impl_(new Impl), threads_(threads) {
+ThreadPool::ThreadPool(int threads) : threads_(threads) {
   if (threads < 1) throw std::invalid_argument("ThreadPool: need at least one thread");
+  impl_ = std::make_unique<Impl>();
   impl_->workers.reserve(static_cast<std::size_t>(threads - 1));
   for (int i = 0; i < threads - 1; ++i) {
     impl_->workers.emplace_back([this] { impl_->worker_loop(); });
@@ -102,8 +104,9 @@ ThreadPool::~ThreadPool() {
   }
   impl_->cv.notify_all();
   for (auto& w : impl_->workers) w.join();
-  delete impl_;
 }
+
+bool ThreadPool::in_worker() { return tls_in_pool_worker; }
 
 void ThreadPool::run_chunks(int n, const std::function<void(int)>& fn) {
   if (n <= 0) return;
@@ -138,18 +141,11 @@ void ThreadPool::run_chunks(int n, const std::function<void(int)>& fn) {
   if (group->error) std::rethrow_exception(group->error);
 }
 
-void ThreadPool::parallel_for(std::int64_t begin, std::int64_t end, std::int64_t grain,
-                              const std::function<void(std::int64_t, std::int64_t)>& fn) {
+void ThreadPool::split(std::int64_t begin, std::int64_t end, std::int64_t grain,
+                       const std::function<void(std::int64_t, std::int64_t)>& fn) {
   const std::int64_t count = end - begin;
-  if (count <= 0) return;
-  const std::int64_t g = grain < 1 ? 1 : grain;
-  const std::int64_t max_chunks = (count + g - 1) / g;
-  const int chunks = static_cast<int>(
-      max_chunks < static_cast<std::int64_t>(threads_) ? max_chunks : threads_);
-  if (chunks <= 1 || tls_in_pool_worker) {
-    fn(begin, end);
-    return;
-  }
+  const std::int64_t g = std::max<std::int64_t>(grain, 1);
+  const int chunks = static_cast<int>(std::min<std::int64_t>((count + g - 1) / g, threads_));
   run_chunks(chunks, [&](int c) {
     const std::int64_t b = begin + count * c / chunks;
     const std::int64_t e = begin + count * (c + 1) / chunks;

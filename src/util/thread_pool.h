@@ -14,8 +14,10 @@
 // worker runs inline (no nested fan-out, no deadlock).
 #pragma once
 
+#include <algorithm>
 #include <cstdint>
 #include <functional>
+#include <memory>
 
 namespace quickdrop {
 
@@ -43,16 +45,36 @@ class ThreadPool {
   /// the grain and the pool size — callers needing bit-identical results at
   /// any thread count must make fn's output independent of the cut (pure
   /// maps and per-element reductions are; see kernels.cpp).
-  void parallel_for(std::int64_t begin, std::int64_t end, std::int64_t grain,
-                    const std::function<void(std::int64_t, std::int64_t)>& fn);
+  ///
+  /// One chunk (count <= max(grain, 1)), a one-thread pool, or a call from
+  /// inside a pool worker calls fn(begin, end) directly, with no type
+  /// erasure. This is the only serial rule; only the fan-out of two or more
+  /// chunks goes through std::function.
+  template <typename Fn>
+  void parallel_for(std::int64_t begin, std::int64_t end, std::int64_t grain, Fn&& fn) {
+    const std::int64_t count = end - begin;
+    if (count <= 0) return;
+    if (count <= std::max<std::int64_t>(grain, 1) || threads_ == 1 || in_worker()) {
+      fn(begin, end);
+      return;
+    }
+    split(begin, end, grain, std::ref(fn));
+  }
 
   /// The process-wide pool. Created on first use, sized by set_num_threads()
   /// if called earlier, else QUICKDROP_THREADS, else hardware_concurrency.
   static ThreadPool& global();
 
  private:
+  /// True on pool workers, and on a caller while it drains its own group.
+  static bool in_worker();
+
+  /// The fan-out half of parallel_for: at least two chunks of `grain`.
+  void split(std::int64_t begin, std::int64_t end, std::int64_t grain,
+             const std::function<void(std::int64_t, std::int64_t)>& fn);
+
   struct Impl;
-  Impl* impl_;
+  std::unique_ptr<Impl> impl_;
   int threads_;
 };
 

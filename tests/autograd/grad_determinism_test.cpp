@@ -1,8 +1,8 @@
 // Regression tests for the audit of the pointer-keyed gradient map in
 // src/autograd/var.cpp (ISSUE 3, satellite 1).
 //
-// grad() stores per-node gradients in std::unordered_map<detail::Node*, Var>,
-// whose *iteration* order would vary run to run with pointer hashes. The
+// grad() looks graph nodes up in a pointer-keyed std::unordered_map, whose
+// *iteration* order would vary run to run with pointer hashes. The
 // implementation must therefore only ever use the map for lookups
 // (find/count/emplace) and drive accumulation by the deterministic
 // topological order of the graph — the qdlint det-unordered-iter rule

@@ -2,6 +2,10 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <limits>
+#include <vector>
+
 namespace quickdrop {
 namespace {
 
@@ -27,6 +31,7 @@ TEST(TensorTest, CopiesAliasStorage) {
   b.at(0) = 5.0f;
   EXPECT_FLOAT_EQ(a.at(0), 5.0f);
   EXPECT_TRUE(a.same_storage(b));
+  EXPECT_EQ(b.data().data(), a.data().data());
 }
 
 TEST(TensorTest, CloneIsDeep) {
@@ -35,12 +40,15 @@ TEST(TensorTest, CloneIsDeep) {
   b.at(0) = 9.0f;
   EXPECT_FLOAT_EQ(a.at(0), 1.0f);
   EXPECT_FALSE(a.same_storage(b));
+  // Distinct empty tensors are distinct storage, too.
+  EXPECT_FALSE(Tensor({0}).same_storage(Tensor({0})));
 }
 
 TEST(TensorTest, ReshapedSharesStorage) {
   Tensor a({2, 3}, {0, 1, 2, 3, 4, 5});
   Tensor b = a.reshaped({3, 2});
   EXPECT_TRUE(a.same_storage(b));
+  EXPECT_EQ(b.data().data(), a.data().data());
   EXPECT_EQ(b.shape(), (Shape{3, 2}));
   EXPECT_THROW(a.reshaped({4}), std::invalid_argument);
 }
@@ -82,6 +90,56 @@ TEST(TensorTest, RandnHasRoughlyUnitVariance) {
   double sum2 = 0;
   for (std::int64_t i = 0; i < t.numel(); ++i) sum2 += t.at(i) * t.at(i);
   EXPECT_NEAR(sum2 / static_cast<double>(t.numel()), 1.0, 0.1);
+}
+
+// ---- Storage: one shared array per tensor ----
+
+/// Frees a few buffers of `n` floats filled with a NaN pattern, so the next
+/// allocations of that size are likely to reuse dirty memory.
+void dirty_heap(std::int64_t n) {
+  std::vector<Tensor> junk;
+  for (int i = 0; i < 4; ++i) {
+    junk.push_back(Tensor::uninitialized({n}));
+    junk.back().fill(std::numeric_limits<float>::quiet_NaN());
+  }
+}
+
+bool all_equal(const Tensor& t, float v) {
+  return std::all_of(t.data().begin(), t.data().end(), [v](float x) { return x == v; });
+}
+
+TEST(TensorStorageTest, ZeroAndFullFactoriesInitializeEveryElement) {
+  for (const std::int64_t n : {1, 7, 1000, 70000}) {
+    dirty_heap(n);
+    EXPECT_TRUE(all_equal(Tensor({n}), 0.0f)) << n;
+    dirty_heap(n);
+    EXPECT_TRUE(all_equal(Tensor::zeros({n}), 0.0f)) << n;
+    dirty_heap(n);
+    EXPECT_TRUE(all_equal(Tensor::full({n}, -2.5f), -2.5f)) << n;
+  }
+  EXPECT_TRUE(all_equal(Tensor(), 0.0f));
+}
+
+TEST(TensorStorageTest, UninitializedHasItsShape) {
+  const Tensor t = Tensor::uninitialized({3, 5});
+  EXPECT_EQ(t.shape(), (Shape{3, 5}));
+  EXPECT_EQ(t.numel(), 15);
+  EXPECT_EQ(t.data().size(), 15u);
+  EXPECT_EQ(Tensor::uninitialized({0, 4}).numel(), 0);
+}
+
+TEST(TensorStorageTest, AdoptsTheMovedVectorsBuffer) {
+  std::vector<float> values(1000, 1.25f);
+  const float* buffer = values.data();
+  Tensor alias;
+  {
+    const Tensor t({10, 100}, std::move(values));
+    EXPECT_EQ(t.data().data(), buffer);
+    alias = t.reshaped({1000});
+  }
+  // The adopted buffer lives as long as any alias of it.
+  EXPECT_EQ(alias.data().data(), buffer);
+  EXPECT_FLOAT_EQ(alias.at(999), 1.25f);
 }
 
 }  // namespace

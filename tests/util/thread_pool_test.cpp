@@ -58,6 +58,25 @@ TEST(ThreadPoolTest, ParallelForRespectsGrain) {
   // ceil(100 / 40) = 3 chunks at most; every chunk >= ~range/chunks items.
   EXPECT_LE(chunks.load(), 3);
   EXPECT_GE(min_chunk, 33);
+
+  // A grain below 1 counts as 1: one item is one inline call on the caller,
+  // four items are at most four one-item chunks.
+  const auto caller = std::this_thread::get_id();
+  int inline_calls = 0;
+  pool.parallel_for(7, 8, 0, [&](std::int64_t b, std::int64_t e) {
+    EXPECT_EQ(std::this_thread::get_id(), caller);
+    EXPECT_EQ(e - b, 1);
+    ++inline_calls;
+  });
+  EXPECT_EQ(inline_calls, 1);
+  std::atomic<std::int64_t> covered{0};
+  chunks = 0;
+  pool.parallel_for(0, 4, -3, [&](std::int64_t b, std::int64_t e) {
+    chunks.fetch_add(1);
+    covered.fetch_add(e - b);
+  });
+  EXPECT_EQ(covered.load(), 4);
+  EXPECT_LE(chunks.load(), 4);
 }
 
 TEST(ThreadPoolTest, EmptyRangeInvokesNothing) {
@@ -134,6 +153,36 @@ TEST(ThreadPoolTest, GlobalPoolResizes) {
   EXPECT_EQ(ThreadPool::global().threads(), 3);
   set_num_threads(1);
   EXPECT_EQ(num_threads(), 1);
+  set_num_threads(before);
+}
+
+TEST(ThreadPoolTest, GlobalPoolIsSharedByConcurrentCallers) {
+  // Callers on several threads must all see the one global pool and fan out
+  // through it at once.
+  const int before = num_threads();
+  set_num_threads(3);
+  ThreadPool* const published = &ThreadPool::global();
+  constexpr int kCallers = 4;
+  constexpr std::int64_t kItems = 5000;
+  std::vector<std::atomic<std::int64_t>> totals(kCallers);
+  std::vector<ThreadPool*> seen(kCallers, nullptr);
+  std::vector<std::thread> callers;
+  for (int c = 0; c < kCallers; ++c) {
+    callers.emplace_back([&, c] {
+      for (int rep = 0; rep < 50; ++rep) {
+        ThreadPool& pool = ThreadPool::global();
+        seen[static_cast<std::size_t>(c)] = &pool;
+        pool.parallel_for(0, kItems, 64, [&](std::int64_t b, std::int64_t e) {
+          totals[static_cast<std::size_t>(c)].fetch_add(e - b);
+        });
+      }
+    });
+  }
+  for (auto& t : callers) t.join();
+  for (int c = 0; c < kCallers; ++c) {
+    EXPECT_EQ(seen[static_cast<std::size_t>(c)], published);
+    EXPECT_EQ(totals[static_cast<std::size_t>(c)].load(), 50 * kItems);
+  }
   set_num_threads(before);
 }
 
