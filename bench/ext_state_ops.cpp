@@ -1,10 +1,8 @@
 // google-benchmark microbenchmarks of the parameter plane (DESIGN.md §11):
 // axpy / streaming weighted-average / serialize throughput on the flat
-// representation, swept over pool sizes, against a faithful reimplementation
-// of the pre-refactor per-tensor representation (vector<Tensor>, serial
-// per-tensor loops, float accumulation) as the baseline. Results land in
-// BENCH_state_ops.json (see main below) for machine consumption; run_all.sh
-// checks the file exists after the bench sweep.
+// ModelState, swept over pool sizes. Results land in BENCH_state_ops.json
+// (see main below) for machine consumption; run_all.sh checks the file
+// exists after the bench sweep.
 // The *Scalar/*Simd pairs pin the microkernel dispatch (tensor/simd.h) to
 // one table on L2-resident buffers, isolating the SIMD speedup from memory
 // bandwidth (acceptance: >= 2x at 1 thread on axpy / weighted average /
@@ -55,66 +53,6 @@ nn::ModelState make_flat(float phase) {
 }
 
 // ---------------------------------------------------------------------------
-// Pre-refactor representation, reimplemented as the baseline: one Tensor per
-// parameter, serial per-tensor loops, float accumulation (what
-// nn/state.cpp did before the flat refactor).
-// ---------------------------------------------------------------------------
-
-std::vector<qd::Tensor> make_tensors(float phase) {
-  const auto flat = make_flat(phase);
-  std::vector<qd::Tensor> out;
-  out.reserve(flat.size());
-  for (std::size_t i = 0; i < flat.size(); ++i) out.push_back(flat.tensor(i));
-  return out;
-}
-
-void tensor_axpy(std::vector<qd::Tensor>& y, const std::vector<qd::Tensor>& x, float a) {
-  for (std::size_t i = 0; i < y.size(); ++i) {
-    auto yd = y[i].data();
-    const auto xd = x[i].data();
-    for (std::size_t j = 0; j < yd.size(); ++j) yd[j] += a * xd[j];
-  }
-}
-
-std::vector<qd::Tensor> tensor_weighted_average(
-    const std::vector<std::vector<qd::Tensor>>& states, const std::vector<float>& weights) {
-  std::vector<qd::Tensor> out;
-  out.reserve(states.front().size());
-  for (const auto& t : states.front()) {
-    qd::Tensor acc(t.shape());
-    auto ad = acc.data();
-    for (auto& v : ad) v = 0.0f;
-    out.push_back(std::move(acc));
-  }
-  for (std::size_t c = 0; c < states.size(); ++c) {
-    const float w = weights[c];
-    for (std::size_t i = 0; i < out.size(); ++i) {
-      auto od = out[i].data();
-      const auto sd = states[c][i].data();
-      for (std::size_t j = 0; j < od.size(); ++j) od[j] += w * sd[j];
-    }
-  }
-  return out;
-}
-
-std::vector<std::uint8_t> tensor_serialize(const std::vector<qd::Tensor>& tensors) {
-  std::vector<std::uint8_t> bytes;
-  auto put_u64 = [&](std::uint64_t v) {
-    for (int i = 0; i < 8; ++i) bytes.push_back(static_cast<std::uint8_t>(v >> (8 * i)));
-  };
-  put_u64(tensors.size());
-  for (const auto& t : tensors) {
-    put_u64(t.shape().size());
-    for (const auto d : t.shape()) put_u64(static_cast<std::uint64_t>(d));
-    const auto data = t.data();
-    const auto offset = bytes.size();
-    bytes.resize(offset + data.size() * sizeof(float));
-    std::memcpy(bytes.data() + offset, data.data(), data.size() * sizeof(float));
-  }
-  return bytes;
-}
-
-// ---------------------------------------------------------------------------
 // axpy
 // ---------------------------------------------------------------------------
 
@@ -129,19 +67,6 @@ void BM_AxpyFlat(benchmark::State& state) {
   state.SetItemsProcessed(state.iterations() * y.numel());
 }
 BENCHMARK(BM_AxpyFlat)->Arg(1)->Arg(4)->Arg(8);
-
-void BM_AxpyPerTensor(benchmark::State& state) {
-  auto y = make_tensors(0.0f);
-  const auto x = make_tensors(0.5f);
-  std::int64_t numel = 0;
-  for (const auto& t : y) numel += t.numel();
-  for (auto _ : state) {
-    tensor_axpy(y, x, 0.001f);
-    benchmark::DoNotOptimize(y.front().data().data());
-  }
-  state.SetItemsProcessed(state.iterations() * numel);
-}
-BENCHMARK(BM_AxpyPerTensor);
 
 // ---------------------------------------------------------------------------
 // weighted average (FedAvg's aggregation step; 16 clients)
@@ -170,22 +95,6 @@ void BM_WeightedAverageStreaming(benchmark::State& state) {
 }
 BENCHMARK(BM_WeightedAverageStreaming)->Arg(1)->Arg(4)->Arg(8);
 
-void BM_WeightedAveragePerTensor(benchmark::State& state) {
-  std::vector<std::vector<qd::Tensor>> states;
-  std::vector<float> weights;
-  std::int64_t numel = 0;
-  for (int c = 0; c < kClients; ++c) {
-    states.push_back(make_tensors(0.01f * static_cast<float>(c)));
-    weights.push_back(1.0f / static_cast<float>(kClients));
-  }
-  for (const auto& t : states.front()) numel += t.numel();
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(tensor_weighted_average(states, weights));
-  }
-  state.SetItemsProcessed(state.iterations() * numel * kClients);
-}
-BENCHMARK(BM_WeightedAveragePerTensor);
-
 // ---------------------------------------------------------------------------
 // serialize (checkpoint writes, FedEraser history persists)
 // ---------------------------------------------------------------------------
@@ -200,18 +109,6 @@ void BM_SerializeFlat(benchmark::State& state) {
                           static_cast<std::int64_t>(sizeof(float)));
 }
 BENCHMARK(BM_SerializeFlat)->Arg(1)->Arg(4)->Arg(8);
-
-void BM_SerializePerTensor(benchmark::State& state) {
-  const auto tensors = make_tensors(0.25f);
-  std::int64_t numel = 0;
-  for (const auto& t : tensors) numel += t.numel();
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(tensor_serialize(tensors));
-  }
-  state.SetBytesProcessed(state.iterations() * numel *
-                          static_cast<std::int64_t>(sizeof(float)));
-}
-BENCHMARK(BM_SerializePerTensor);
 
 // ---------------------------------------------------------------------------
 // Scalar vs SIMD dispatch columns (1 thread, L2-resident working set)

@@ -72,19 +72,7 @@ echo "tsan pass exit: ${PIPESTATUS[0]}" | tee -a tsan_output.txt
     --json "$SERVE_DIR/replay4.json" --out "$SERVE_DIR/served4.qdcp" --threads 4 &&
   cmp "$SERVE_DIR/replay1.json" "$SERVE_DIR/replay4.json" &&
   cmp "$SERVE_DIR/served1.qdcp" "$SERVE_DIR/served4.qdcp" &&
-  echo "serve replay: metrics + model bitwise identical at 1 vs 4 threads" &&
-  # Network front-end gate: the same trace through the loopback transport
-  # (wire frames + acks + report frame) must land on the same model, and the
-  # report must be identical outside the out-of-band wire/net overlay lines
-  # (see DESIGN.md §15).
-  "$BUILD"/tools/quickdrop_cli serve --checkpoint "$SERVE_DIR/model.qdcp" \
-    --trace "$SERVE_DIR/trace.txt" --policy coalesce --sec-per-round 40 \
-    --transport loopback --wire-bandwidth 1000000 \
-    --json "$SERVE_DIR/loopback.json" --out "$SERVE_DIR/served_loop.qdcp" --threads 4 &&
-  cmp "$SERVE_DIR/served1.qdcp" "$SERVE_DIR/served_loop.qdcp" &&
-  diff <(grep -v -e '"transport"' -e '"wire_' -e '"net_' "$SERVE_DIR/replay1.json") \
-       <(grep -v -e '"transport"' -e '"wire_' -e '"net_' "$SERVE_DIR/loopback.json") &&
-  echo "loopback replay: model bitwise identical, report identical modulo wire overlay"
+  echo "serve replay: metrics + model bitwise identical at 1 vs 4 threads"
   rm -rf "$SERVE_DIR"
 } 2>&1 | tee serve_replay_output.txt
 echo "serve replay exit: ${PIPESTATUS[0]}" | tee -a serve_replay_output.txt
@@ -98,8 +86,8 @@ for b in "$BUILD"/bench/*; do
 done
 
 # The state-ops microbenchmark (bench/ext_state_ops) writes its JSON into the
-# working directory; the sweep above must have produced it (flat vs per-tensor
-# representation, streaming weighted-average thread scaling — see DESIGN.md §11).
+# working directory; the sweep above must have produced it (flat-state kernel
+# thread scaling, dispatch and codec columns — see DESIGN.md §11).
 if [ -f BENCH_state_ops.json ]; then
   echo "state-ops bench: BENCH_state_ops.json written" | tee -a bench_output.txt
 else
@@ -120,14 +108,6 @@ if [ -f BENCH_store.json ]; then
   echo "store bench: BENCH_store.json written" | tee -a bench_output.txt
 else
   echo "store bench: MISSING BENCH_store.json" | tee -a bench_output.txt
-fi
-
-# Likewise the network front-end bench (bench/ext_net): wire-codec frame
-# sizes plus the loopback-vs-inproc identity verdicts — see DESIGN.md §15.
-if [ -f BENCH_net.json ]; then
-  echo "net bench: BENCH_net.json written" | tee -a bench_output.txt
-else
-  echo "net bench: MISSING BENCH_net.json" | tee -a bench_output.txt
 fi
 
 # Likewise the aggregation scale sweep (bench/ext_aggregate_scale): streaming

@@ -1,9 +1,11 @@
 #include "net/api.h"
 
 #include <cctype>
+#include <cmath>
 #include <cstddef>
 #include <cstdint>
 #include <cstdlib>
+#include <limits>
 #include <sstream>
 #include <stdexcept>
 #include <utility>
@@ -31,10 +33,11 @@ std::string json_escape(const std::string& s) {
   return out;
 }
 
-/// A flat JSON object: string, number and int-array values only — exactly
-/// the shape of an unlearn request body. Anything else is malformed.
+/// A flat JSON object: string, integer and int-array values only — exactly
+/// the shape of an unlearn request body. Anything else is malformed,
+/// including a number that is not an integer inside int's range.
 struct JsonBody {
-  std::map<std::string, double> numbers;
+  std::map<std::string, int> numbers;
   std::map<std::string, std::string> strings;
   std::map<std::string, std::vector<int>> arrays;
 };
@@ -106,7 +109,7 @@ class JsonParser {
     }
   }
 
-  double parse_number() {
+  int parse_int() {
     const std::size_t start = pos_;
     if (peek() == '-') ++pos_;
     while (pos_ < text_.size() &&
@@ -120,7 +123,13 @@ class JsonParser {
     char* end = nullptr;
     const double value = std::strtod(token.c_str(), &end);
     if (end != token.c_str() + token.size()) fail("bad number '" + token + "'");
-    return value;
+    // The range test is false for NaN too, so no value reaches the cast
+    // unless it converts exactly.
+    if (!(value >= std::numeric_limits<int>::min() && value <= std::numeric_limits<int>::max()) ||
+        value != std::trunc(value)) {
+      fail("'" + token + "' is not an integer in range");
+    }
+    return static_cast<int>(value);
   }
 
   void parse_value(JsonBody& body, const std::string& key) {
@@ -136,7 +145,7 @@ class JsonParser {
       } else {
         for (;;) {
           skip_ws();
-          values.push_back(static_cast<int>(parse_number()));
+          values.push_back(parse_int());
           skip_ws();
           const char sep = take();
           if (sep == ']') break;
@@ -145,7 +154,7 @@ class JsonParser {
       }
       body.arrays[key] = std::move(values);
     } else if (c == '-' || std::isdigit(static_cast<unsigned char>(c))) {
-      body.numbers[key] = parse_number();
+      body.numbers[key] = parse_int();
     } else {
       fail("unsupported value type");
     }
@@ -186,18 +195,8 @@ std::vector<Tenant> parse_tenant_specs(const std::string& spec) {
 
 ApiService::ApiService(std::shared_ptr<core::QuickDrop> quickdrop, nn::ModelState initial,
                        ApiConfig config)
-    : quickdrop_(std::move(quickdrop)),
-      state_(std::move(initial)),
-      config_(std::move(config)),
-      scheduler_(config_.service.policy, config_.service.max_batch),
-      executor_(quickdrop_, config_.service.cost_model) {
-  if (!quickdrop_) throw std::invalid_argument("ApiService: null coordinator");
-  if (state_.empty() || !quickdrop_->state_layout() ||
-      state_.layout()->hash() != quickdrop_->state_layout()->hash()) {
-    throw std::invalid_argument(
-        "ApiService: initial state layout does not match the coordinator's model");
-  }
-}
+    : tenants_(std::move(config.tenants)),
+      service_(std::move(quickdrop), std::move(initial), std::move(config.service)) {}
 
 namespace {
 
@@ -221,7 +220,7 @@ bool token_equal_constant_time(const std::string& a, const std::string& b) {
 }  // namespace
 
 std::string ApiService::authenticate(const HttpRequest& request) const {
-  if (config_.tenants.empty()) return "default";
+  if (tenants_.empty()) return "default";
   const std::string& auth = request.header("authorization");
   const std::string prefix = "Bearer ";
   if (auth.rfind(prefix, 0) != 0) return "";
@@ -229,7 +228,7 @@ std::string ApiService::authenticate(const HttpRequest& request) const {
   // Scan every tenant even after a hit, so the number of comparisons does
   // not reveal which tenant (if any) matched.
   const Tenant* matched = nullptr;
-  for (const auto& tenant : config_.tenants) {
+  for (const auto& tenant : tenants_) {
     if (token_equal_constant_time(tenant.token, token) && matched == nullptr) {
       matched = &tenant;
     }
@@ -284,19 +283,18 @@ HttpResponse ApiService::handle_unlearn(const HttpRequest& request, const std::s
       throw std::invalid_argument("unlearn body: 'kind' and 'target' are required");
     }
     service_request.kind = serve::kind_from_name(kind_it->second);
-    service_request.target = static_cast<int>(target_it->second);
+    service_request.target = target_it->second;
     const auto prio_it = body.numbers.find("priority");
-    if (prio_it != body.numbers.end()) service_request.priority = static_cast<int>(prio_it->second);
+    if (prio_it != body.numbers.end()) service_request.priority = prio_it->second;
     const auto rows_it = body.arrays.find("rows");
     if (rows_it != body.arrays.end()) service_request.rows = rows_it->second;
   } catch (const std::invalid_argument& e) {
     return HttpResponse{.status = 400,
                         .body = "{\"error\": \"" + json_escape(e.what()) + "\"}\n"};
   }
-  service_request.arrival_seconds = clock_seconds_;
+  service_request.arrival_seconds = service_.clock_seconds();
 
-  const auto decision =
-      queue_.admit(service_request, serve::make_validation_context(*quickdrop_));
+  const auto [decision, id] = service_.admit(service_request);
   auto& stats = tenants_seen_[tenant];
   if (!decision.accepted) {
     ++stats.rejected;
@@ -305,7 +303,6 @@ HttpResponse ApiService::handle_unlearn(const HttpRequest& request, const std::s
                                 serve::reject_reason_name(decision.reason) +
                                 "\", \"message\": \"" + json_escape(decision.message) + "\"}\n"};
   }
-  const std::int64_t id = queue_.pending().back().id;
   ++stats.admitted;
   owner_[id] = tenant;
   QD_LOG_INFO << "api: tenant '" << tenant << "' queued request #" << id;
@@ -316,7 +313,7 @@ HttpResponse ApiService::handle_unlearn(const HttpRequest& request, const std::s
 HttpResponse ApiService::handle_request_status(std::int64_t id) const {
   const auto done = completed_index_.find(id);
   if (done != completed_index_.end()) {
-    const auto& m = completed_[done->second];
+    const auto& m = service_.completed()[done->second];
     return HttpResponse{
         .status = 200,
         .body = "{\"id\": " + std::to_string(id) + ", \"status\": \"completed\"" +
@@ -324,7 +321,7 @@ HttpResponse ApiService::handle_request_status(std::int64_t id) const {
                 ", \"unlearn_rounds\": " + std::to_string(m.unlearn_rounds) +
                 ", \"recovery_rounds\": " + std::to_string(m.recovery_rounds) + "}\n"};
   }
-  for (const auto& pending : queue_.pending()) {
+  for (const auto& pending : service_.queue().pending()) {
     if (pending.id == id) {
       return HttpResponse{.status = 200, .body = "{\"id\": " + std::to_string(id) +
                                                  ", \"status\": \"queued\"}\n"};
@@ -349,54 +346,15 @@ HttpResponse ApiService::handle_metrics() const {
 }
 
 void ApiService::drain() {
-  while (!queue_.empty()) {
-    const auto ids = scheduler_.next_batch(queue_.pending());
-    const auto batch = queue_.take(ids);
-    const double start = clock_seconds_;
-    QD_LOG_INFO << "api: cycle " << cycles_ << " serving " << batch.size()
-                << " request(s) at t=" << start;
-    auto result = executor_.execute(state_, batch, config_.service.cursor_callback);
-    state_ = std::move(result.state);
-    clock_seconds_ += result.sim_seconds;
-    for (const auto& request : batch) {
-      serve::RequestMetrics metrics;
-      metrics.id = request.id;
-      metrics.kind = request.kind;
-      metrics.target = request.target;
-      metrics.arrival_seconds = request.arrival_seconds;
-      metrics.start_seconds = start;
-      metrics.completion_seconds = clock_seconds_;
-      metrics.unlearn_rounds = result.unlearn_stats.rounds;
-      metrics.recovery_rounds = result.recovery_stats.rounds;
-      metrics.bytes_up = result.unlearn_stats.cost.bytes_up + result.recovery_stats.cost.bytes_up;
-      metrics.bytes_down =
-          result.unlearn_stats.cost.bytes_down + result.recovery_stats.cost.bytes_down;
-      metrics.batch_size = static_cast<int>(batch.size());
-      metrics.cycle = cycles_;
-      if (config_.service.evaluator) config_.service.evaluator(request, state_, metrics);
-      completed_index_[metrics.id] = completed_.size();
-      completed_.push_back(metrics);
-      const auto owner = owner_.find(metrics.id);
+  while (!service_.queue().empty()) {
+    const std::size_t first = service_.completed().size();
+    const auto served = service_.run_cycle();
+    for (std::size_t i = 0; i < served.size(); ++i) {
+      completed_index_[served[i].id] = first + i;
+      const auto owner = owner_.find(served[i].id);
       if (owner != owner_.end()) ++tenants_seen_[owner->second].completed;
     }
-    total_fl_rounds_ += result.unlearn_stats.rounds + result.recovery_stats.rounds;
-    total_bytes_ += result.unlearn_stats.cost.bytes_up + result.unlearn_stats.cost.bytes_down +
-                    result.recovery_stats.cost.bytes_up + result.recovery_stats.cost.bytes_down;
-    ++cycles_;
   }
-}
-
-serve::ServiceReport ApiService::report() const {
-  serve::ServiceReport report;
-  report.policy = serve::policy_name(scheduler_.policy());
-  report.transport = config_.service.transport;
-  report.completed = completed_;
-  report.rejected = queue_.rejected();
-  report.cycles = cycles_;
-  report.total_fl_rounds = total_fl_rounds_;
-  report.total_bytes = total_bytes_;
-  report.sim_clock_seconds = clock_seconds_;
-  return report;
 }
 
 }  // namespace quickdrop::net

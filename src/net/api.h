@@ -11,15 +11,18 @@
 //
 // Authentication is per-tenant bearer tokens: when tenants are configured,
 // every request must carry `Authorization: Bearer <token>` matching one of
-// them (else 401), and admission/completion/wire-byte counts are kept per
+// them (else 401), and admission/completion/request-byte counts are kept per
 // tenant. With no tenants configured the API is open and everything is
 // accounted to "default".
 //
-// The service core is the same deterministic simulated-time machinery the
-// replay paths use (queue -> scheduler -> executor); the API's live clock IS
-// the sim clock. Requests admitted over HTTP carry arrival = current sim
-// clock; drain() executes pending cycles and advances it. The HTTP server's
-// idle hook calls drain(), so unlearning work happens between requests.
+// Behind the routes sits one serve::UnlearningService: this class adds
+// routing, JSON, auth and tenant accounting, nothing else. The API's live
+// clock IS the service's sim clock. Requests admitted over HTTP carry
+// arrival = current sim clock; drain() runs the service's cycles until the
+// queue is empty. The HTTP server's idle hook calls drain(), so unlearning
+// work happens between requests. A trace POSTed in order and drained lands
+// on the same model bits and report as UnlearningService::run over that
+// trace with every arrival at 0 (tests/net/handler_replay_test.cpp).
 #pragma once
 
 #include <cstdint>
@@ -69,14 +72,14 @@ class ApiService {
   /// the sim clock. Called from the HTTP server's idle hook.
   void drain();
 
-  [[nodiscard]] const nn::ModelState& state() const { return state_; }
-  [[nodiscard]] double clock_seconds() const { return clock_seconds_; }
+  [[nodiscard]] const nn::ModelState& state() const { return service_.state(); }
+  [[nodiscard]] double clock_seconds() const { return service_.clock_seconds(); }
   [[nodiscard]] const std::map<std::string, TenantStats>& tenant_stats() const {
     return tenants_seen_;
   }
 
   /// Snapshot of the run so far as a standard service report.
-  [[nodiscard]] serve::ServiceReport report() const;
+  [[nodiscard]] serve::ServiceReport report() const { return service_.report(); }
 
  private:
   /// Resolves the Authorization header to a tenant name; empty = unauthorized.
@@ -86,18 +89,9 @@ class ApiService {
   HttpResponse handle_request_status(std::int64_t id) const;
   HttpResponse handle_metrics() const;
 
-  std::shared_ptr<core::QuickDrop> quickdrop_;
-  nn::ModelState state_;
-  ApiConfig config_;
-  serve::Scheduler scheduler_;
-  serve::Executor executor_;
-  serve::AdmissionQueue queue_;
-  double clock_seconds_ = 0.0;
-  int cycles_ = 0;
-  int total_fl_rounds_ = 0;
-  std::int64_t total_bytes_ = 0;
-  std::vector<serve::RequestMetrics> completed_;
-  std::map<std::int64_t, std::size_t> completed_index_;  ///< id -> completed_ slot
+  std::vector<Tenant> tenants_;
+  serve::UnlearningService service_;
+  std::map<std::int64_t, std::size_t> completed_index_;  ///< id -> service_.completed() slot
   std::map<std::int64_t, std::string> owner_;            ///< id -> tenant
   std::map<std::string, TenantStats> tenants_seen_;
 };

@@ -9,36 +9,12 @@ namespace quickdrop::net {
 
 const char* net_error_name(NetErrorCode code) {
   switch (code) {
-    case NetErrorCode::kBadMagic: return "bad-magic";
-    case NetErrorCode::kBadVersion: return "bad-version";
-    case NetErrorCode::kUnknownType: return "unknown-type";
-    case NetErrorCode::kTruncated: return "truncated";
-    case NetErrorCode::kOversized: return "oversized";
-    case NetErrorCode::kCrcMismatch: return "crc-mismatch";
-    case NetErrorCode::kLayoutMismatch: return "layout-mismatch";
-    case NetErrorCode::kTrailingBytes: return "trailing-bytes";
-    case NetErrorCode::kBadPayload: return "bad-payload";
     case NetErrorCode::kMalformedHttp: return "malformed-http";
     case NetErrorCode::kClosed: return "closed";
     case NetErrorCode::kTimeout: return "timeout";
     case NetErrorCode::kIoFailure: return "io-failure";
   }
   return "unknown";
-}
-
-bool read_exact(Io& io, std::span<std::uint8_t> buf) {
-  std::size_t got = 0;
-  while (got < buf.size()) {
-    const std::size_t n = io.read_some(buf.subspan(got));
-    if (n == 0) {
-      if (got == 0) return false;
-      throw NetError(NetErrorCode::kTruncated,
-                     "stream ended after " + std::to_string(got) + " of " +
-                         std::to_string(buf.size()) + " bytes");
-    }
-    got += n;
-  }
-  return true;
 }
 
 namespace {

@@ -1,12 +1,12 @@
-// Byte transport behind the network front-end.
+// Byte transport behind the HTTP front end.
 //
-// Every net/ layer — frame codec, HTTP parser, replay sessions — moves bytes
-// through the `Io` interface instead of a file descriptor, so the whole
-// protocol stack is testable (and tier-1 gated) over an in-memory loopback
-// pipe with no ports, while production traffic rides the POSIX socket
-// implementation in net/socket.h. The loopback pipe is thread-safe and its
-// writes never block (unbounded buffer), which lets a single thread write an
-// entire replay trace and then serve it back deterministically.
+// The HTTP parser and connection loop (net/http.h) move bytes through the
+// `Io` interface instead of a file descriptor, so they are testable (and
+// tier-1 gated) over an in-memory loopback pipe with no ports, while
+// production traffic rides the POSIX socket implementation in
+// net/socket.h. The loopback pipe is thread-safe and its writes never block
+// (unbounded buffer), so one thread can write a whole request stream and
+// then serve it.
 #pragma once
 
 #include <cstdint>
@@ -21,22 +21,13 @@ namespace quickdrop::net {
 /// / serve::TraceError: typed, derived from a std:: exception so generic
 /// catch sites keep working, with a stable code for tests and logs.
 enum class NetErrorCode {
-  kBadMagic,        ///< frame does not start with the protocol magic
-  kBadVersion,      ///< protocol version this build does not speak
-  kUnknownType,     ///< frame type byte outside the known set
-  kTruncated,       ///< stream or buffer ended mid-frame
-  kOversized,       ///< declared length exceeds the protocol cap
-  kCrcMismatch,     ///< CRC-64 trailer does not verify
-  kLayoutMismatch,  ///< frame's layout hash is not this deployment's
-  kTrailingBytes,   ///< well-formed frame followed by garbage
-  kBadPayload,      ///< frame payload fails its type-specific decode
   kMalformedHttp,   ///< HTTP head/body violates the grammar or caps
   kClosed,          ///< peer closed where the protocol required more
   kTimeout,         ///< peer stayed silent past the allowed idle window
   kIoFailure,       ///< OS-level socket failure (errno in the message)
 };
 
-/// Stable lower-case token, e.g. "crc-mismatch" (used in logs and tests).
+/// Stable lower-case token, e.g. "malformed-http" (used in logs and tests).
 const char* net_error_name(NetErrorCode code);
 
 /// Typed transport/protocol failure.
@@ -73,11 +64,6 @@ class Io {
     return false;
   }
 };
-
-/// Fills `buf` exactly. Returns false when the stream ends cleanly before the
-/// first byte (a frame boundary); throws NetError(kTruncated) when the stream
-/// ends mid-buffer (a torn frame).
-bool read_exact(Io& io, std::span<std::uint8_t> buf);
 
 /// The two ends of an in-memory duplex pipe: bytes written to `client` are
 /// read from `server` and vice versa. Thread-safe; writes never block.

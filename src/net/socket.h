@@ -1,7 +1,7 @@
 // POSIX TCP transport: the production implementation of net::Io.
 //
 // Everything here is EINTR-safe (every socket call retries on interruption),
-// length-agnostic (framing lives in net/wire.h, not here), and
+// protocol-agnostic (HTTP framing lives in net/http.h, not here), and
 // dependency-free. This file and net/socket.cpp are the only place in the
 // tree allowed to touch raw socket syscalls — qdlint's api-net-io rule
 // enforces that everything else goes through net::Io.

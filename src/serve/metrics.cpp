@@ -43,18 +43,6 @@ double ServiceReport::queue_wait_percentile(double p) const {
   return nearest_rank(std::move(waits), p);
 }
 
-double ServiceReport::net_seconds_total() const {
-  double total = 0.0;
-  for (const auto& m : completed) total += m.net_seconds;
-  return total;
-}
-
-std::int64_t ServiceReport::wire_bytes_total() const {
-  std::int64_t total = 0;
-  for (const auto& m : completed) total += m.wire_bytes;
-  return total;
-}
-
 double ServiceReport::requests_per_hour() const {
   if (sim_clock_seconds <= 0.0) return 0.0;
   return static_cast<double>(completed.size()) * 3600.0 / sim_clock_seconds;
@@ -64,17 +52,9 @@ std::string ServiceReport::to_json() const {
   std::ostringstream out;
   out << "{\n";
   out << "  \"policy\": \"" << policy << "\",\n";
-  // Net-only overlay fields live on dedicated single lines whose keys start
-  // with "transport", "wire_" or "net_": the in-process-vs-loopback identity
-  // gate (scripts/run_all.sh) greps those lines away and requires the rest of
-  // the report to match byte-for-byte.
+  // The transport label is the only line that differs between an in-process
+  // run and the same trace served over HTTP (tests/net/handler_replay_test).
   out << "  \"transport\": \"" << transport << "\",\n";
-  out << "  \"wire_request_bytes\": " << wire_request_bytes << ",\n";
-  out << "  \"wire_ack_bytes\": " << wire_ack_bytes << ",\n";
-  out << "  \"wire_bytes_total\": " << wire_bytes_total() << ",\n";
-  out << "  \"wire_state_bytes_raw\": " << wire_state_bytes_raw << ",\n";
-  out << "  \"wire_state_bytes_quantized\": " << wire_state_bytes_quantized << ",\n";
-  out << "  \"net_seconds_total\": " << json_double(net_seconds_total()) << ",\n";
   out << "  \"queue_wait_p50_seconds\": " << json_double(queue_wait_percentile(50.0)) << ",\n";
   out << "  \"queue_wait_p95_seconds\": " << json_double(queue_wait_percentile(95.0)) << ",\n";
   out << "  \"completed\": " << completed.size() << ",\n";
@@ -102,15 +82,6 @@ std::string ServiceReport::to_json() const {
         << (i + 1 < completed.size() ? "," : "") << "\n";
   }
   out << "  ],\n";
-  // Per-request network overlay, on ONE line so the identity gate's grep
-  // filter can drop the whole array.
-  out << "  \"net_requests\": [";
-  for (std::size_t i = 0; i < completed.size(); ++i) {
-    const auto& m = completed[i];
-    out << (i ? ", " : "") << "{\"id\": " << m.id << ", \"wire_bytes\": " << m.wire_bytes
-        << ", \"net_seconds\": " << json_double(m.net_seconds) << "}";
-  }
-  out << "],\n";
   out << "  \"rejections\": [\n";
   for (std::size_t i = 0; i < rejected.size(); ++i) {
     const auto& r = rejected[i];

@@ -30,12 +30,6 @@ struct RequestMetrics {
   int cycle = 0;       ///< 0-based index of the cycle that served it
   double fset_accuracy = -1.0;  ///< post-cycle accuracy on the forget set (-1 = not evaluated)
   double rset_accuracy = -1.0;  ///< post-cycle accuracy on the retained classes
-  /// Bytes this request cost on the wire (request + ack frames; 0 when it
-  /// arrived in-process). Accounted out-of-band: never part of the sim clock.
-  std::int64_t wire_bytes = 0;
-  /// wire_bytes / ServiceConfig::wire_bytes_per_second (0 when no bandwidth
-  /// is configured). A reporting overlay, not a scheduling input.
-  double net_seconds = 0.0;
 
   [[nodiscard]] double queue_wait() const { return start_seconds - arrival_seconds; }
   [[nodiscard]] double latency() const { return completion_seconds - arrival_seconds; }
@@ -44,37 +38,20 @@ struct RequestMetrics {
 /// Aggregate view of one service run, serializable to deterministic JSON.
 struct ServiceReport {
   std::string policy;
-  std::string transport = "inproc";       ///< "inproc", "loopback" or "tcp"
+  std::string transport = "inproc";       ///< "inproc" or "http"
   std::vector<RequestMetrics> completed;  ///< completion order
   std::vector<RejectedRequest> rejected;  ///< admission order
   int cycles = 0;
   int total_fl_rounds = 0;  ///< SGA + recovery rounds across all cycles
   std::int64_t total_bytes = 0;
   double sim_clock_seconds = 0.0;  ///< sim clock at last completion
-  // Bytes-on-wire accounting, filled only by net sessions (net/replay.h).
-  // These are overlay columns: the JSON emits them on dedicated lines
-  // (prefixes "transport", "wire_", "net_") so the in-process-vs-loopback
-  // identity gate can strip them before diffing reports.
-  std::int64_t wire_request_bytes = 0;        ///< request frames received
-  std::int64_t wire_ack_bytes = 0;            ///< ack frames sent
-  std::int64_t wire_state_bytes_raw = 0;      ///< final state as a raw-v2 update frame
-  std::int64_t wire_state_bytes_quantized = 0;  ///< same state under the run's codec
 
   /// Nearest-rank percentile of completed-request latency, p in [0, 100].
   /// Returns 0 when nothing completed.
   [[nodiscard]] double latency_percentile(double p) const;
 
   /// Nearest-rank percentile of queueing delay (admission -> cycle start).
-  /// The queueing-vs-network latency breakdown pairs this with
-  /// net_seconds_total(): queue wait is sim-clock time, network time is the
-  /// out-of-band wire cost.
   [[nodiscard]] double queue_wait_percentile(double p) const;
-
-  /// Sum of per-request network seconds (0 for in-process runs).
-  [[nodiscard]] double net_seconds_total() const;
-
-  /// Sum of per-request bytes-on-wire.
-  [[nodiscard]] std::int64_t wire_bytes_total() const;
 
   /// Completed requests per simulated hour (0 when the clock never moved).
   [[nodiscard]] double requests_per_hour() const;

@@ -1,11 +1,11 @@
-// Typed validation for the `serve` and `replay` CLI surfaces.
+// Typed validation for the `serve` CLI surface.
 //
 // Before this layer, flag mistakes either fell through to std::sto* noise
 // ("stoi") or silently produced a degenerate run (zero requests, negative
 // rates). Every constraint now lives in one place, fails with an
 // OptionsError naming the offending flag, and is unit-testable without
 // invoking the binary. Cross-flag conflicts (e.g. --trace together with
-// trace-generation knobs, --listen together with replay knobs) are rejected
+// trace-generation knobs, --listen together with trace knobs) are rejected
 // eagerly, and `serve --resume` refuses to continue a run under a different
 // scheduler policy than the checkpoint records.
 #pragma once
@@ -53,12 +53,9 @@ struct ServeOptions {
   std::string dump_trace;
   std::string json_path;
   std::string out;
-  // Network front-end.
-  std::string transport = "inproc";  ///< "inproc" or "loopback"
-  int listen_port = -1;              ///< --listen PORT (HTTP mode), -1 = off
-  int wire_listen_port = -1;         ///< --wire-listen PORT (serves one `replay --connect`)
-  std::string tenants_spec;          ///< "name=token,..." for the HTTP API
-  double wire_bandwidth = 0.0;       ///< bytes/second for the net-time column
+  // HTTP front end.
+  int listen_port = -1;      ///< --listen PORT, -1 = off (replay a trace in-process)
+  std::string tenants_spec;  ///< "name=token,..." for the HTTP API
 };
 
 /// Reads and validates every serve flag. Throws OptionsError on bad values
@@ -71,21 +68,5 @@ ServeOptions parse_serve_options(CliFlags& flags);
 /// the checkpoint predates policy recording).
 void validate_resume_policy(const ServeOptions& options,
                             const std::map<std::string, std::string>& metadata);
-
-/// Everything `replay` accepts, post-validation.
-struct ReplayOptions {
-  std::string host = "127.0.0.1";
-  std::uint16_t port = 0;
-  std::string checkpoint = "model.qdcp";
-  std::string trace_path;
-  std::string tenant = "default";
-};
-
-/// Reads and validates every replay flag (--connect HOST:PORT is required).
-ReplayOptions parse_replay_options(CliFlags& flags);
-
-/// Splits "host:port". Throws OptionsError("connect", ...) on a missing
-/// colon, empty host or a port outside [1, 65535].
-std::pair<std::string, std::uint16_t> parse_host_port(const std::string& spec);
 
 }  // namespace quickdrop::serve

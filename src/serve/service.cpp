@@ -1,5 +1,6 @@
 #include "serve/service.h"
 
+#include <algorithm>
 #include <stdexcept>
 #include <utility>
 
@@ -14,6 +15,8 @@ UnlearningService::UnlearningService(std::shared_ptr<core::QuickDrop> quickdrop,
       config_(std::move(config)),
       scheduler_(config_.policy, config_.max_batch),
       executor_(quickdrop_, config_.cost_model) {
+  report_.policy = policy_name(scheduler_.policy());
+  report_.transport = config_.transport;
   if (!quickdrop_) throw std::invalid_argument("UnlearningService: null coordinator");
   // Layout-hash compatibility gate: a state restored from the wrong
   // checkpoint (different net width/depth) must fail here, not as a shape
@@ -25,6 +28,11 @@ UnlearningService::UnlearningService(std::shared_ptr<core::QuickDrop> quickdrop,
   }
 }
 
+namespace {
+
+/// The admission-validation view of a deployment (class/client ranges,
+/// forgotten sets, forget-data probe over the synthetic stores). The context
+/// borrows from `quickdrop`; keep it alive for the call.
 ValidationContext make_validation_context(const core::QuickDrop& quickdrop) {
   ValidationContext ctx;
   ctx.num_classes = quickdrop.num_classes();
@@ -48,89 +56,73 @@ ValidationContext make_validation_context(const core::QuickDrop& quickdrop) {
   return ctx;
 }
 
-ValidationContext UnlearningService::validation_context() const {
-  return make_validation_context(*quickdrop_);
+}  // namespace
+
+Admission UnlearningService::admit(const ServiceRequest& request) {
+  Admission admission{.decision = queue_.admit(request, make_validation_context(*quickdrop_))};
+  if (admission.decision.accepted) admission.id = queue_.pending().back().id;
+  return admission;
 }
 
-void RequestSource::on_decision(const ServiceRequest& /*request*/, std::int64_t /*id*/,
-                                const AdmissionDecision& /*decision*/) {}
+std::span<const RequestMetrics> UnlearningService::run_cycle() {
+  if (queue_.empty()) return {};
+  const auto batch = queue_.take(scheduler_.next_batch(queue_.pending()));
+  double& clock = report_.sim_clock_seconds;
+  const double start = clock;
+  QD_LOG_INFO << "serve: cycle " << report_.cycles << " (" << report_.policy << ") serving "
+              << batch.size() << " request(s) at t=" << start;
 
-std::int64_t RequestSource::wire_bytes(std::int64_t /*id*/) const { return 0; }
+  auto result = executor_.execute(state_, batch, config_.cursor_callback);
+  state_ = std::move(result.state);
+  clock += result.sim_seconds;
 
-void UnlearningService::admit_due(RequestSource& source) {
-  while (const ServiceRequest* next = source.peek()) {
-    if (next->arrival_seconds > clock_seconds_) break;
-    const ServiceRequest request = *next;
-    source.pop();
-    const auto decision = queue_.admit(request, validation_context());
-    const std::int64_t id = decision.accepted ? queue_.pending().back().id : -1;
-    source.on_decision(request, id, decision);
+  const std::size_t first = report_.completed.size();
+  for (const auto& request : batch) {
+    RequestMetrics metrics;
+    metrics.id = request.id;
+    metrics.kind = request.kind;
+    metrics.target = request.target;
+    metrics.arrival_seconds = request.arrival_seconds;
+    metrics.start_seconds = start;
+    metrics.completion_seconds = clock;
+    metrics.unlearn_rounds = result.unlearn_stats.rounds;
+    metrics.recovery_rounds = result.recovery_stats.rounds;
+    metrics.bytes_up = result.unlearn_stats.cost.bytes_up + result.recovery_stats.cost.bytes_up;
+    metrics.bytes_down =
+        result.unlearn_stats.cost.bytes_down + result.recovery_stats.cost.bytes_down;
+    metrics.batch_size = static_cast<int>(batch.size());
+    metrics.cycle = report_.cycles;
+    if (config_.evaluator) config_.evaluator(request, state_, metrics);
+    report_.completed.push_back(metrics);
   }
+  report_.total_fl_rounds += result.unlearn_stats.rounds + result.recovery_stats.rounds;
+  report_.total_bytes += result.unlearn_stats.cost.bytes_up +
+                         result.unlearn_stats.cost.bytes_down +
+                         result.recovery_stats.cost.bytes_up +
+                         result.recovery_stats.cost.bytes_down;
+  ++report_.cycles;
+  return std::span(report_.completed).subspan(first);
 }
 
 ServiceReport UnlearningService::run(const std::vector<ServiceRequest>& trace) {
-  TraceSource source(trace);
-  return run(source);
+  std::size_t next = 0;
+  while (!queue_.empty() || next < trace.size()) {
+    // Idle: fast-forward the sim clock to the next arrival.
+    if (queue_.empty()) {
+      report_.sim_clock_seconds =
+          std::max(report_.sim_clock_seconds, trace[next].arrival_seconds);
+    }
+    while (next < trace.size() && trace[next].arrival_seconds <= report_.sim_clock_seconds) {
+      admit(trace[next++]);
+    }
+    run_cycle();  // a no-op when everything due was rejected
+  }
+  return report();
 }
 
-ServiceReport UnlearningService::run(RequestSource& source) {
-  ServiceReport report;
-  report.policy = policy_name(scheduler_.policy());
-  report.transport = config_.transport;
-
-  while (true) {
-    if (queue_.empty()) {
-      const ServiceRequest* next = source.peek();
-      if (next == nullptr) break;
-      // Idle: fast-forward the sim clock to the next arrival.
-      clock_seconds_ = std::max(clock_seconds_, next->arrival_seconds);
-    }
-    admit_due(source);
-    if (queue_.empty()) continue;  // everything due was rejected
-
-    const auto ids = scheduler_.next_batch(queue_.pending());
-    const auto batch = queue_.take(ids);
-    const double start = clock_seconds_;
-    QD_LOG_INFO << "serve: cycle " << report.cycles << " (" << policy_name(scheduler_.policy())
-                << ") serving " << batch.size() << " request(s) at t=" << start;
-
-    auto result = executor_.execute(state_, batch, config_.cursor_callback);
-    state_ = std::move(result.state);
-    clock_seconds_ += result.sim_seconds;
-
-    for (const auto& request : batch) {
-      RequestMetrics metrics;
-      metrics.id = request.id;
-      metrics.kind = request.kind;
-      metrics.target = request.target;
-      metrics.arrival_seconds = request.arrival_seconds;
-      metrics.start_seconds = start;
-      metrics.completion_seconds = clock_seconds_;
-      metrics.unlearn_rounds = result.unlearn_stats.rounds;
-      metrics.recovery_rounds = result.recovery_stats.rounds;
-      metrics.bytes_up = result.unlearn_stats.cost.bytes_up + result.recovery_stats.cost.bytes_up;
-      metrics.bytes_down =
-          result.unlearn_stats.cost.bytes_down + result.recovery_stats.cost.bytes_down;
-      metrics.batch_size = static_cast<int>(batch.size());
-      metrics.cycle = report.cycles;
-      metrics.wire_bytes = source.wire_bytes(metrics.id);
-      metrics.net_seconds = config_.wire_bytes_per_second > 0.0
-                                ? static_cast<double>(metrics.wire_bytes) /
-                                      config_.wire_bytes_per_second
-                                : 0.0;
-      if (config_.evaluator) config_.evaluator(request, state_, metrics);
-      report.completed.push_back(metrics);
-    }
-    report.total_fl_rounds += result.unlearn_stats.rounds + result.recovery_stats.rounds;
-    report.total_bytes += result.unlearn_stats.cost.bytes_up +
-                          result.unlearn_stats.cost.bytes_down +
-                          result.recovery_stats.cost.bytes_up +
-                          result.recovery_stats.cost.bytes_down;
-    ++report.cycles;
-  }
-
+ServiceReport UnlearningService::report() const {
+  ServiceReport report = report_;
   report.rejected = queue_.rejected();
-  report.sim_clock_seconds = clock_seconds_;
   return report;
 }
 

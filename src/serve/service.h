@@ -6,10 +6,17 @@
 // (when serving), and every decision depends only on (trace, seed, config).
 // Identical inputs therefore yield a bitwise-identical final model and
 // report at any --threads count, including under an active fault plan.
+//
+// run(trace) is built from two primitives, admit() and run_cycle(), which
+// the HTTP front end (net/api.h) drives directly: there is one serving loop,
+// and a trace POSTed in order and drained lands on the same bits.
 #pragma once
 
+#include <cstdint>
 #include <functional>
 #include <memory>
+#include <span>
+#include <vector>
 
 #include "serve/executor.h"
 #include "serve/metrics.h"
@@ -33,53 +40,17 @@ struct ServiceConfig {
   /// Forwarded to the executor for mid-request checkpointing.
   core::UnlearnCursorCallback cursor_callback;
   RequestEvaluator evaluator;
-  /// Transport label stamped into the report ("inproc" unless a net session
-  /// overrides it).
+  /// Transport label stamped into the report: "inproc" for trace replay,
+  /// "http" when net/api.h drives the service.
   std::string transport = "inproc";
-  /// Simulated wire bandwidth used to derive each request's network-time
-  /// column from its bytes-on-wire. 0 disables the breakdown (in-process
-  /// runs, where nothing crosses a wire). Network time is accounted
-  /// *out-of-band* — it never advances the service's sim clock — so the SLA
-  /// outcomes of a net replay stay bitwise identical to the in-process path.
-  double wire_bytes_per_second = 0.0;
 };
 
-/// Pull-based request feed for the service loop. The in-process path wraps a
-/// trace vector; the network path (net/replay.h) reads frames off an Io
-/// stream lazily. peek() may block (a socket read); the returned pointer
-/// stays valid until the next pop().
-class RequestSource {
- public:
-  virtual ~RequestSource() = default;
-  /// Next request in arrival order, or nullptr when the source is exhausted.
-  virtual const ServiceRequest* peek() = 0;
-  virtual void pop() = 0;
-  /// Admission decision for a popped request (`id` is the assigned id, -1 on
-  /// rejection). The net source turns these into ack frames.
-  virtual void on_decision(const ServiceRequest& request, std::int64_t id,
-                           const AdmissionDecision& decision);
-  /// Bytes this request cost on the wire (0 for in-process requests).
-  [[nodiscard]] virtual std::int64_t wire_bytes(std::int64_t id) const;
+/// Outcome of admitting one request: the validation decision and, when
+/// accepted, the id the queue assigned (-1 on rejection).
+struct Admission {
+  AdmissionDecision decision;
+  std::int64_t id = -1;
 };
-
-/// RequestSource over an in-memory trace (the in-process path).
-class TraceSource : public RequestSource {
- public:
-  explicit TraceSource(const std::vector<ServiceRequest>& trace) : trace_(trace) {}
-  const ServiceRequest* peek() override {
-    return next_ < trace_.size() ? &trace_[next_] : nullptr;
-  }
-  void pop() override { ++next_; }
-
- private:
-  const std::vector<ServiceRequest>& trace_;
-  std::size_t next_ = 0;
-};
-
-/// Builds the admission-validation view of a deployment (class/client
-/// ranges, forgotten sets, forget-data probe over the synthetic stores).
-/// The context borrows from `quickdrop`; keep it alive for the call.
-ValidationContext make_validation_context(const core::QuickDrop& quickdrop);
 
 class UnlearningService {
  public:
@@ -87,32 +58,44 @@ class UnlearningService {
   UnlearningService(std::shared_ptr<core::QuickDrop> quickdrop, nn::ModelState initial,
                     ServiceConfig config);
 
-  /// Drains the whole trace and returns the aggregate report. May be called
-  /// once per service instance.
+  /// Drains the whole trace and returns the aggregate report: fast-forward
+  /// the sim clock to the next arrival when idle, admit every request due by
+  /// the clock, serve one cycle, repeat. May be called once per instance.
   ServiceReport run(const std::vector<ServiceRequest>& trace);
 
-  /// Same loop, drawing requests from `source` until it is exhausted. The
-  /// trace overload wraps this with a TraceSource; net/replay.h feeds it a
-  /// frame-decoding source. Identical request streams yield bitwise-identical
-  /// models and SLA outcomes regardless of the source's transport.
-  ServiceReport run(RequestSource& source);
+  /// Validates `request` against the deployment and the queue at the current
+  /// sim clock and, on acceptance, enqueues it. The request keeps its own
+  /// arrival_seconds, which must not be later than clock_seconds().
+  Admission admit(const ServiceRequest& request);
+
+  /// Serves one scheduler batch from the queue: one unlearn/recover cycle,
+  /// advancing the sim clock by its CostModel seconds. Returns the metrics of
+  /// the requests it completed (valid until the next cycle); empty when the
+  /// queue is.
+  std::span<const RequestMetrics> run_cycle();
 
   /// Global model after the last completed cycle.
   [[nodiscard]] const nn::ModelState& state() const { return state_; }
   [[nodiscard]] const AdmissionQueue& queue() const { return queue_; }
+  [[nodiscard]] double clock_seconds() const { return report_.sim_clock_seconds; }
+  /// Completed requests in completion order.
+  [[nodiscard]] const std::vector<RequestMetrics>& completed() const {
+    return report_.completed;
+  }
+
+  /// Snapshot of the run so far.
+  [[nodiscard]] ServiceReport report() const;
 
  private:
-  /// Admits every source request with arrival <= the sim clock.
-  void admit_due(RequestSource& source);
-  [[nodiscard]] ValidationContext validation_context() const;
-
   std::shared_ptr<core::QuickDrop> quickdrop_;
   nn::ModelState state_;
   ServiceConfig config_;
   Scheduler scheduler_;
   Executor executor_;
   AdmissionQueue queue_;
-  double clock_seconds_ = 0.0;
+  /// Everything but `rejected` (kept by the queue); sim_clock_seconds is the
+  /// service clock.
+  ServiceReport report_;
 };
 
 }  // namespace quickdrop::serve

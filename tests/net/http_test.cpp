@@ -27,6 +27,21 @@ std::shared_ptr<Io> feed(const std::string& wire) {
   return pair.server;
 }
 
+TEST(LoopbackIo, PollReadableReflectsBufferedBytesAndEof) {
+  auto pair = make_loopback();
+  EXPECT_FALSE(pair.server->poll_readable(0));
+  const std::uint8_t byte = 7;
+  pair.client->write_all(std::span(&byte, 1));
+  EXPECT_TRUE(pair.server->poll_readable(0));
+  std::uint8_t out[4];
+  EXPECT_EQ(pair.server->read_some(out), 1u);
+  EXPECT_FALSE(pair.server->poll_readable(0));
+  pair.client->finish_write();
+  // End-of-stream counts as readable: read_some returns 0 without blocking.
+  EXPECT_TRUE(pair.server->poll_readable(0));
+  EXPECT_EQ(pair.server->read_some(out), 0u);
+}
+
 // ---------------------------------------------------------------------------
 // Parser
 // ---------------------------------------------------------------------------
@@ -279,6 +294,19 @@ TEST(ApiService, RejectsBadRequestsWithTypedJson) {
   // Malformed JSON, missing fields, wrong method, bad id segment.
   EXPECT_EQ(fx.api->handle(post_unlearn("{not json")).status, 400);
   EXPECT_EQ(fx.api->handle(post_unlearn(R"({"kind": "class"})")).status, 400);
+  // Numbers must be integers inside int's range: no silent truncation of
+  // 2.5 to class 2, and no undefined conversion of 1e300.
+  for (const char* body :
+       {R"({"kind": "class", "target": 2.5})", R"({"kind": "class", "target": 1, "priority": 2.5})",
+        R"({"kind": "class", "target": 1e300})", R"({"kind": "class", "target": -3000000000})",
+        R"({"kind": "sample", "target": 1, "rows": [1, 1e300]})",
+        R"({"kind": "sample", "target": 1, "rows": [0.5]})"}) {
+    const auto bad = fx.api->handle(post_unlearn(body));
+    EXPECT_EQ(bad.status, 400) << body;
+    EXPECT_NE(bad.body.find("\"error\""), std::string::npos) << body;
+    EXPECT_NE(bad.body.find("not an integer"), std::string::npos) << body;
+  }
+  EXPECT_EQ(fx.api->report().rejected.size(), 1u);  // only the out-of-range target
   EXPECT_EQ(fx.api->handle(get("/unlearn")).status, 405);
   EXPECT_EQ(fx.api->handle(get("/request/abc")).status, 400);
   // All digits but past int64: must be a 400, not an out_of_range 500.

@@ -1,30 +1,19 @@
 // Real-socket coverage for the POSIX transport: ephemeral-port listeners,
-// frame round trips over TCP, a full replay session across a real
-// connection, and the poll-based HTTP accept loop. Each test runs server
-// and client as two chunks on a private two-executor pool; environments
-// that forbid binding 127.0.0.1 skip instead of failing.
+// refused connects, and the poll-based HTTP accept loop. Each two-sided test
+// runs server and client as two chunks on a private two-executor pool;
+// environments that forbid binding 127.0.0.1 skip instead of failing.
 #include <gtest/gtest.h>
 
 #include <atomic>
 #include <memory>
 #include <string>
-#include <vector>
 
 #include "net/http.h"
-#include "net/replay.h"
 #include "net/socket.h"
-#include "net/wire.h"
-#include "test_federation.h"
 #include "util/thread_pool.h"
 
 namespace quickdrop::net {
 namespace {
-
-using testing::expect_states_bitwise_equal;
-using testing::MiniFederation;
-using testing::ThreadGuard;
-
-constexpr std::uint64_t kHash = 0xABCD1234ULL;
 
 /// Binds an ephemeral listener, or nullptr when the sandbox forbids it.
 std::unique_ptr<TcpListener> try_listen() {
@@ -39,83 +28,6 @@ TEST(Socket, ListenerReportsEphemeralPort) {
   const auto listener = try_listen();
   if (!listener) GTEST_SKIP() << "cannot bind 127.0.0.1 in this environment";
   EXPECT_GT(listener->port(), 0);
-}
-
-TEST(Socket, FrameRoundTripOverTcp) {
-  auto listener = try_listen();
-  if (!listener) GTEST_SKIP() << "cannot bind 127.0.0.1 in this environment";
-
-  serve::ServiceRequest request;
-  request.kind = serve::RequestKind::kClass;
-  request.target = 2;
-  request.arrival_seconds = 1.5;
-
-  Frame echoed;
-  ThreadPool pool(2);
-  pool.run_chunks(2, [&](int chunk) {
-    if (chunk == 0) {
-      auto conn = listener->accept_conn();
-      const auto frame = read_frame(*conn, kHash);
-      ASSERT_TRUE(frame.has_value());
-      write_frame(*conn, *frame);  // echo back
-      conn->finish_write();
-      EXPECT_FALSE(read_frame(*conn, kHash).has_value());
-    } else {
-      auto conn = tcp_connect("127.0.0.1", listener->port());
-      write_frame(*conn, make_request_frame({request, "tcp-tenant"}, kHash));
-      conn->finish_write();
-      const auto back = read_frame(*conn, kHash);
-      ASSERT_TRUE(back.has_value());
-      echoed = *back;
-    }
-  });
-
-  EXPECT_EQ(echoed.type, FrameType::kUnlearnRequest);
-  const auto wire = decode_request_payload(echoed.payload);
-  EXPECT_EQ(wire.tenant, "tcp-tenant");
-  EXPECT_EQ(wire.request.target, 2);
-  EXPECT_EQ(wire.request.arrival_seconds, 1.5);
-}
-
-TEST(Socket, ReplaySessionOverTcpMatchesLoopback) {
-  ThreadGuard guard;
-  auto listener = try_listen();
-  if (!listener) GTEST_SKIP() << "cannot bind 127.0.0.1 in this environment";
-
-  set_num_threads(1);
-  MiniFederation fed;
-  auto qd = std::make_shared<core::QuickDrop>(fed.factory, fed.clients,
-                                              MiniFederation::config(), 99);
-  const auto trained = qd->train();
-  const std::uint64_t hash = qd->state_layout()->hash();
-
-  serve::ServiceRequest request;
-  request.kind = serve::RequestKind::kClass;
-  request.target = 1;
-
-  ReplayConfig config;
-  config.service.transport = "tcp";
-  NetReplaySession session(qd, trained, config);
-  ReplayClientResult client;
-  serve::ServiceReport report;
-
-  ThreadPool pool(2);
-  pool.run_chunks(2, [&](int chunk) {
-    if (chunk == 0) {
-      auto conn = listener->accept_conn();
-      report = session.run(*conn);
-    } else {
-      auto conn = tcp_connect("127.0.0.1", listener->port());
-      client = replay_trace_client(*conn, {request}, "tcp-tenant", hash);
-    }
-  });
-
-  ASSERT_EQ(client.acks.size(), 1u);
-  EXPECT_TRUE(client.acks[0].accepted);
-  EXPECT_EQ(client.report_json, report.to_json());
-  EXPECT_EQ(report.transport, "tcp");
-  EXPECT_EQ(report.completed.size(), 1u);
-  EXPECT_TRUE(qd->forgotten_classes().count(1));
 }
 
 TEST(Socket, ServeHttpAnswersOverTcpAndHonoursStop) {

@@ -3,8 +3,6 @@
 // 12, seeds 7/19/99) so identity results carry across suites.
 #pragma once
 
-#include <gtest/gtest.h>
-
 #include <cstdint>
 #include <memory>
 #include <vector>
@@ -70,14 +68,5 @@ struct MiniFederation {
     return cfg;
   }
 };
-
-inline void expect_states_bitwise_equal(const nn::ModelState& a, const nn::ModelState& b,
-                                        const char* what) {
-  ASSERT_EQ(a.size(), b.size()) << what;
-  ASSERT_EQ(a.numel(), b.numel()) << what;
-  for (std::int64_t j = 0; j < a.numel(); ++j) {
-    ASSERT_EQ(a.at(j), b.at(j)) << what << ": flat entry " << j;
-  }
-}
 
 }  // namespace quickdrop::net::testing

@@ -39,7 +39,6 @@
 #include "core/quickdrop.h"
 #include "fl/quantize.h"
 #include "net/api.h"
-#include "net/replay.h"
 #include "net/socket.h"
 #include "serve/options.h"
 #include "serve/service.h"
@@ -432,11 +431,10 @@ int cmd_relearn(qd::CliFlags& flags) {
 }
 
 // Replays (or generates) an unlearning request trace against a trained
-// checkpoint through the serve/ stack. All reported latencies are simulated
-// seconds from the deterministic cost model, so --json output is bitwise
-// reproducible at any --threads count — including over the loopback wire
-// transport, whose report differs from the in-process one only in the
-// "transport"/"wire_"/"net_" overlay lines.
+// checkpoint through the serve/ stack, or with --listen serves the same
+// stack over HTTP. All reported latencies are simulated seconds from the
+// deterministic cost model, so --json output is bitwise reproducible at any
+// --threads count.
 int cmd_serve(qd::CliFlags& flags) {
   const auto options = qd::serve::parse_serve_options(flags);
   flags.check_unused();
@@ -450,10 +448,9 @@ int cmd_serve(qd::CliFlags& flags) {
   config.max_batch = options.max_batch;
   config.cost_model.seconds_per_round = options.sec_per_round;
   config.cost_model.seconds_per_sample_grad = options.sec_per_grad;
-  config.wire_bytes_per_second = options.wire_bandwidth;
   std::shared_ptr<qd::core::QuickDrop> quickdrop = std::move(fed.quickdrop);
 
-  // --listen: live HTTP front-end. Requests arrive over the wire, the sim
+  // --listen: live HTTP front end. Requests arrive over the network, the sim
   // clock is the service clock, and unlearning cycles run while idle.
   if (options.listen_port > 0) {
     qd::net::ApiConfig api_config;
@@ -474,9 +471,7 @@ int cmd_serve(qd::CliFlags& flags) {
   }
 
   std::vector<qd::serve::ServiceRequest> trace;
-  if (options.wire_listen_port > 0) {
-    // The trace arrives over the wire: `replay --connect` streams it.
-  } else if (!options.trace_path.empty()) {
+  if (!options.trace_path.empty()) {
     trace = qd::serve::load_trace(options.trace_path);
     std::printf("replaying %zu requests from %s\n", trace.size(), options.trace_path.c_str());
   } else {
@@ -499,60 +494,15 @@ int cmd_serve(qd::CliFlags& flags) {
     std::printf("trace written to %s\n", options.dump_trace.c_str());
   }
 
-  qd::serve::ServiceReport report;
-  const qd::nn::ModelState* final_state = nullptr;
-  std::optional<qd::serve::UnlearningService> service;
-  std::optional<qd::net::NetReplaySession> session;
-  if (options.wire_listen_port > 0) {
-    // --wire-listen: the server side of `replay --connect`. One accepted
-    // connection, one replayed trace, then the same report/checkpoint tail
-    // as every other serve mode.
-    qd::net::TcpListener listener(static_cast<std::uint16_t>(options.wire_listen_port));
-    std::printf("wire replay listening on port %u (send with: quickdrop_cli replay "
-                "--connect HOST:%u --checkpoint ... --trace ...)\n",
-                static_cast<unsigned>(listener.port()), static_cast<unsigned>(listener.port()));
-    const auto conn = listener.accept_conn();
-    qd::net::ReplayConfig replay_config;
-    config.transport = "tcp";
-    replay_config.service = config;
-    replay_config.codec = qd::fl::codec_from_string(fed.spec.quantize);
-    session.emplace(quickdrop, cp.global, replay_config);
-    report = session->run(*conn);
-    final_state = &session->state();
-  } else if (options.transport == "loopback") {
-    // Single-threaded wire replay: loopback writes never block, so the
-    // client sends the whole trace first, the session serves it, and the
-    // acks + report are collected afterwards.
-    const std::uint64_t layout_hash = quickdrop->state_layout()->hash();
-    auto pair = qd::net::make_loopback();
-    qd::net::replay_send_trace(*pair.client, trace, "cli", layout_hash);
-    qd::net::ReplayConfig replay_config;
-    config.transport = "loopback";
-    replay_config.service = config;
-    replay_config.codec = qd::fl::codec_from_string(fed.spec.quantize);
-    session.emplace(quickdrop, cp.global, replay_config);
-    report = session->run(*pair.server);
-    const auto heard = qd::net::replay_collect(*pair.client, layout_hash);
-    std::printf("loopback replay: %zu ack(s), %lld bytes down, %lld bytes up "
-                "(state on wire: %lld raw / %lld quantized)\n",
-                heard.acks.size(), static_cast<long long>(report.wire_request_bytes),
-                static_cast<long long>(report.wire_ack_bytes),
-                static_cast<long long>(report.wire_state_bytes_raw),
-                static_cast<long long>(report.wire_state_bytes_quantized));
-    final_state = &session->state();
-  } else {
-    service.emplace(quickdrop, cp.global, config);
-    report = service->run(trace);
-    final_state = &service->state();
-  }
+  qd::serve::UnlearningService service(quickdrop, cp.global, config);
+  const auto report = service.run(trace);
 
   qd::TextTable table;
-  table.set_header({"id", "kind", "target", "wait(s)", "latency(s)", "net(s)", "batch", "cycle"});
+  table.set_header({"id", "kind", "target", "wait(s)", "latency(s)", "batch", "cycle"});
   for (const auto& m : report.completed) {
     table.add_row({std::to_string(m.id), qd::serve::kind_name(m.kind), std::to_string(m.target),
                    qd::fmt_double(m.queue_wait(), 1), qd::fmt_double(m.latency(), 1),
-                   qd::fmt_double(m.net_seconds, 3), std::to_string(m.batch_size),
-                   std::to_string(m.cycle)});
+                   std::to_string(m.batch_size), std::to_string(m.cycle)});
   }
   std::printf("%s\n", table.render().c_str());
   for (const auto& rejection : report.rejected) {
@@ -560,19 +510,19 @@ int cmd_serve(qd::CliFlags& flags) {
                 qd::serve::reject_reason_name(rejection.reason));
   }
   std::printf("policy=%s transport=%s: %zu served in %d cycle(s), %d FL rounds, p50 %.1fs, "
-              "p95 %.1fs, queue-wait p95 %.1fs, net %.3fs, %.2f requests/hour\n",
+              "p95 %.1fs, queue-wait p95 %.1fs, %.2f requests/hour\n",
               report.policy.c_str(), report.transport.c_str(), report.completed.size(),
               report.cycles, report.total_fl_rounds, report.latency_percentile(50.0),
               report.latency_percentile(95.0), report.queue_wait_percentile(95.0),
-              report.net_seconds_total(), report.requests_per_hour());
-  print_eval(fed, *final_state);
+              report.requests_per_hour());
+  print_eval(fed, service.state());
 
   if (!options.json_path.empty()) {
     qd::write_file_atomic(options.json_path, report.to_json());
     std::printf("metrics written to %s\n", options.json_path.c_str());
   }
   if (!options.out.empty()) {
-    auto new_cp = qd::core::make_checkpoint(*final_state, quickdrop->stores());
+    auto new_cp = qd::core::make_checkpoint(service.state(), quickdrop->stores());
     new_cp.metadata = cp.metadata;
     new_cp.metadata[qd::serve::kServePolicyKey] = options.policy;
     write_checkpoint(new_cp, options.out, fed.spec.rounds);
@@ -580,33 +530,9 @@ int cmd_serve(qd::CliFlags& flags) {
   return 0;
 }
 
-// Streams a trace file to a running `serve --listen`-style replay endpoint…
-// or, more precisely, to a NetReplaySession listening on a TCP port, and
-// prints the acks plus the server's report.
-int cmd_replay(qd::CliFlags& flags) {
-  const auto options = qd::serve::parse_replay_options(flags);
-  flags.check_unused();
-  auto cp = qd::core::load_checkpoint(options.checkpoint);
-  auto fed = build(FedSpec::from_metadata(cp.metadata));
-  const std::uint64_t layout_hash = fed.quickdrop->state_layout()->hash();
-  const auto trace = qd::serve::load_trace(options.trace_path);
-
-  std::printf("replaying %zu requests to %s:%u as tenant '%s'\n", trace.size(),
-              options.host.c_str(), static_cast<unsigned>(options.port),
-              options.tenant.c_str());
-  const auto conn = qd::net::tcp_connect(options.host, options.port);
-  const auto result = qd::net::replay_trace_client(*conn, trace, options.tenant, layout_hash);
-  std::size_t accepted = 0;
-  for (const auto& ack : result.acks) accepted += ack.accepted ? 1 : 0;
-  std::printf("%zu/%zu accepted, %lld bytes received\n", accepted, result.acks.size(),
-              static_cast<long long>(result.bytes_received));
-  if (!result.report_json.empty()) std::printf("%s", result.report_json.c_str());
-  return 0;
-}
-
 int usage() {
   std::fprintf(stderr,
-               "usage: quickdrop_cli <train|eval|unlearn|relearn|serve|replay|inspect> [--flags]\n"
+               "usage: quickdrop_cli <train|eval|unlearn|relearn|serve|inspect> [--flags]\n"
                "  train   --dataset D --clients N --rounds R --scale S --out FILE\n"
                "          [--fault-crash P] [--fault-straggler P] [--fault-corrupt P]\n"
                "          [--fault-stale P] [--fault-seed S] [--quorum F] [--max-attempts N]\n"
@@ -619,9 +545,7 @@ int usage() {
                "          [--policy fifo|priority|coalesce] [--max-batch N] [--trace-seed S]\n"
                "          [--dump-trace FILE] [--json FILE] [--out FILE] [--resume]\n"
                "          [--sec-per-round S] [--sec-per-grad S]\n"
-               "          [--transport inproc|loopback] [--wire-bandwidth BYTES/S]\n"
-               "          [--listen PORT [--tenants name=token,...]] [--wire-listen PORT]\n"
-               "  replay  --connect HOST:PORT --checkpoint FILE --trace FILE [--tenant NAME]\n"
+               "          [--listen PORT [--tenants name=token,...]]  (HTTP instead of a trace)\n"
                "  inspect --checkpoint FILE\n"
                "  common: --log-level debug|info|warn|error (or QUICKDROP_LOG_LEVEL)\n"
                "          --threads N (or QUICKDROP_THREADS; default: all hardware threads)\n");
@@ -647,7 +571,6 @@ int main(int argc, char** argv) {
     if (command == "unlearn") return cmd_unlearn(flags);
     if (command == "relearn") return cmd_relearn(flags);
     if (command == "serve") return cmd_serve(flags);
-    if (command == "replay") return cmd_replay(flags);
     if (command == "inspect") return cmd_inspect(flags);
     return usage();
   } catch (const std::exception& e) {
