@@ -71,8 +71,8 @@ void BM_BroadcastAdd(benchmark::State& state) {
 BENCHMARK(BM_BroadcastAdd);
 
 // --- The ConvNet's own kernel shapes (width 16, 12x12 images, batch m):
-// --- the broadcasts, reductions, transposes and unfolds autograd runs on
-// --- every forward/backward of the distillation loop.
+// --- the broadcasts, reductions and unfolds autograd runs on every
+// --- forward/backward of the distillation loop.
 
 void BM_InstanceNormSub(benchmark::State& state) {
   const auto m = state.range(0);
@@ -103,25 +103,6 @@ void BM_InstanceNormReduce(benchmark::State& state) {
 }
 BENCHMARK(BM_InstanceNormReduce)->Arg(32);
 
-void BM_AvgPoolReduce(benchmark::State& state) {
-  const auto m = state.range(0);
-  qd::Rng rng(1);
-  const auto x = qd::Tensor::randn({m, 16, 6, 2, 6, 2}, rng);
-  for (auto _ : state) benchmark::DoNotOptimize(k::reduce_sum_to(x, {m, 16, 6, 1, 6, 1}));
-  state.SetItemsProcessed(state.iterations() * x.numel());
-}
-BENCHMARK(BM_AvgPoolReduce)->Arg(32);
-
-void BM_AvgPoolBroadcast(benchmark::State& state) {
-  // The AvgPool reduction's adjoint, run by every backward pass.
-  const auto m = state.range(0);
-  qd::Rng rng(1);
-  const auto g = qd::Tensor::randn({m, 16, 6, 1, 6, 1}, rng);
-  for (auto _ : state) benchmark::DoNotOptimize(k::broadcast_to(g, {m, 16, 6, 2, 6, 2}));
-  state.SetItemsProcessed(state.iterations() * g.numel() * 4);
-}
-BENCHMARK(BM_AvgPoolBroadcast)->Arg(32);
-
 void BM_ConvBiasReduce(benchmark::State& state) {
   const auto m = state.range(0);
   qd::Rng rng(1);
@@ -130,15 +111,6 @@ void BM_ConvBiasReduce(benchmark::State& state) {
   state.SetItemsProcessed(state.iterations() * x.numel());
 }
 BENCHMARK(BM_ConvBiasReduce)->Arg(32);
-
-void BM_TransposeCols(benchmark::State& state) {
-  const auto m = state.range(0);
-  qd::Rng rng(1);
-  const auto cols = qd::Tensor::randn({27, m * 144}, rng);
-  for (auto _ : state) benchmark::DoNotOptimize(k::transpose2d(cols));
-  state.SetItemsProcessed(state.iterations() * cols.numel());
-}
-BENCHMARK(BM_TransposeCols)->Arg(32);
 
 void BM_Im2ColConvNet(benchmark::State& state) {
   const auto m = state.range(0);
@@ -167,6 +139,86 @@ qd::nn::ConvNetConfig bench_net() {
   return cfg;
 }
 
+// --- The ConvNet at CIFAR-10's 32x32 images (width 16, batch 12; the
+// --- perfbench cifar10 fixture itself uses 12x12): each product with the
+// --- partners its backward runs, the pool pair, and one distillation
+// --- matching step.
+
+enum Product : std::int64_t { kAB = 0, kABt = 1, kAtB = 2 };
+
+void BM_Gemm32(benchmark::State& state) {
+  // [m,k] x [k,n] as A B, A B^T (b stored [n,k]) or A^T B (a stored [k,m]).
+  const auto m = state.range(0), kk = state.range(1), n = state.range(2);
+  const auto op = static_cast<Product>(state.range(3));
+  qd::Rng rng(1);
+  const auto a = qd::Tensor::randn(op == kAtB ? qd::Shape{kk, m} : qd::Shape{m, kk}, rng);
+  const auto b = qd::Tensor::randn(op == kABt ? qd::Shape{n, kk} : qd::Shape{kk, n}, rng);
+  for (auto _ : state) {
+    switch (op) {
+      case kAB: benchmark::DoNotOptimize(k::matmul(a, b)); break;
+      case kABt: benchmark::DoNotOptimize(k::matmul_nt(a, b)); break;
+      case kAtB: benchmark::DoNotOptimize(k::matmul_tn(a, b)); break;
+    }
+  }
+  state.SetItemsProcessed(state.iterations() * m * kk * n);
+}
+BENCHMARK(BM_Gemm32)
+    ->ArgNames({"m", "k", "n", "op"})
+    ->Args({16, 27, 12288, kAB})    // conv1 forward: W cols
+    ->Args({16, 12288, 27, kABt})   // conv1 weight gradient: gy cols^T
+    ->Args({27, 16, 12288, kAtB})   // conv1 column gradient: W^T gy
+    ->Args({16, 144, 3072, kAB})    // conv2 forward
+    ->Args({16, 3072, 144, kABt})   // conv2 weight gradient
+    ->Args({144, 16, 3072, kAtB})   // conv2 column gradient
+    ->Args({12, 1024, 10, kABt})    // Linear forward: x W^T
+    ->Args({12, 10, 1024, kAB})     // Linear input gradient: gy W
+    ->Args({10, 12, 1024, kAtB});   // Linear weight gradient: gy^T x
+
+void BM_SumPool2d32(benchmark::State& state) {
+  qd::Rng rng(1);
+  const auto x = qd::Tensor::randn({12, 16, 32, 32}, rng);
+  for (auto _ : state) benchmark::DoNotOptimize(k::sum_pool2d(x, 2));
+  state.SetItemsProcessed(state.iterations() * x.numel());
+}
+BENCHMARK(BM_SumPool2d32);
+
+void BM_SpreadPool2d32(benchmark::State& state) {
+  // sum_pool2d's adjoint, run by every backward pass through AvgPool2d.
+  qd::Rng rng(1);
+  const auto g = qd::Tensor::randn({12, 16, 16, 16}, rng);
+  for (auto _ : state) benchmark::DoNotOptimize(k::spread_pool2d(g, 2));
+  state.SetItemsProcessed(state.iterations() * g.numel() * 4);
+}
+BENCHMARK(BM_SpreadPool2d32);
+
+/// One gradient-matching pixel update of `synthetic` images against the
+/// parameter gradient of `real` images, on `net`.
+void distill_match_step(benchmark::State& state, qd::nn::Module& net, const qd::Tensor& real,
+                        qd::Tensor synthetic) {
+  std::vector<int> labels(static_cast<std::size_t>(real.dim(0)), 3);
+  const auto params = net.parameters();
+  const auto loss = qd::ag::cross_entropy(net.forward_tensor(real), labels);
+  const auto grads = qd::ag::grad(loss, std::span<const qd::ag::Var>(params));
+  std::vector<qd::Tensor> grad_real;
+  for (const auto& g : grads) grad_real.push_back(g.value());
+  qd::core::DistillConfig cfg;
+  qd::fl::CostMeter cost;
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(
+        qd::core::match_synthetic_to_gradient(net, synthetic, 3, grad_real, cfg, cost));
+  }
+}
+
+void BM_DistillMatchStep32(benchmark::State& state) {
+  qd::nn::ConvNetConfig cfg = bench_net();
+  cfg.image_size = 32;
+  qd::Rng rng(1);
+  auto net = qd::nn::make_convnet(cfg, rng);
+  const auto real = qd::Tensor::randn({12, 3, 32, 32}, rng);
+  distill_match_step(state, *net, real, qd::Tensor::randn({5, 3, 32, 32}, rng));
+}
+BENCHMARK(BM_DistillMatchStep32);
+
 void BM_ConvNetForward(benchmark::State& state) {
   qd::Rng rng(1);
   auto net = qd::nn::make_convnet(bench_net(), rng);
@@ -193,21 +245,8 @@ void BM_DistillMatchStep(benchmark::State& state) {
   // Algorithm 2 — the dominant cost of QuickDrop's training-time overhead.
   qd::Rng rng(1);
   auto net = qd::nn::make_convnet(bench_net(), rng);
-  const auto x = qd::Tensor::randn({16, 3, 12, 12}, rng);
-  std::vector<int> labels(16, 3);
-  const auto params = net->parameters();
-  const auto loss = qd::ag::cross_entropy(net->forward_tensor(x), labels);
-  const auto grads = qd::ag::grad(loss, std::span<const qd::ag::Var>(params));
-  std::vector<qd::Tensor> grad_real;
-  for (const auto& g : grads) grad_real.push_back(g.value());
-
-  qd::Tensor synthetic = qd::Tensor::randn({2, 3, 12, 12}, rng);
-  qd::core::DistillConfig cfg;
-  qd::fl::CostMeter cost;
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(
-        qd::core::match_synthetic_to_gradient(*net, synthetic, 3, grad_real, cfg, cost));
-  }
+  const auto real = qd::Tensor::randn({16, 3, 12, 12}, rng);
+  distill_match_step(state, *net, real, qd::Tensor::randn({2, 3, 12, 12}, rng));
 }
 BENCHMARK(BM_DistillMatchStep);
 

@@ -48,7 +48,7 @@ echo "sanitizer pass exit: ${PIPESTATUS[0]}" | tee -a sanitizer_output.txt
 # parallel cycles, and run them with an oversubscribed pool so worker
 # interleavings actually happen.
 TSAN_BUILD="${BUILD}-tsan"
-TSAN_TESTS=(util_test tensor_test nn_test fl_test serve_test net_test)
+TSAN_TESTS=(util_test tensor_test autograd_test nn_test fl_test serve_test net_test)
 {
   cmake -B "$TSAN_BUILD" -S . -DQUICKDROP_SANITIZE="thread" &&
   cmake --build "$TSAN_BUILD" -j --target "${TSAN_TESTS[@]}" &&

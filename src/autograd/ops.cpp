@@ -110,16 +110,30 @@ Var mul_scalar(const Var& a, float s) {
 Var matmul(const Var& a, const Var& b) {
   return Var::make_op("matmul", k::matmul(a.value(), b.value()), {a, b},
                       [](const Node& n, const Var& gy, unsigned need, ParentGrads& out) {
+                        // d(xy): dx = gy y^T, dy = x^T gy.
                         const auto& [x, y] = n.parents;
-                        if (need & kFirst) out[0] = matmul(gy, transpose(y));
-                        if (need & kSecond) out[1] = matmul(transpose(x), gy);
+                        if (need & kFirst) out[0] = matmul_nt(gy, y);
+                        if (need & kSecond) out[1] = matmul_tn(x, gy);
                       });
 }
 
-Var transpose(const Var& a) {
-  return Var::make_op("transpose", k::transpose2d(a.value()), {a},
-                      [](const Node&, const Var& gy, unsigned, ParentGrads& out) {
-                        out[0] = transpose(gy);
+Var matmul_nt(const Var& a, const Var& b) {
+  return Var::make_op("matmul_nt", k::matmul_nt(a.value(), b.value()), {a, b},
+                      [](const Node& n, const Var& gy, unsigned need, ParentGrads& out) {
+                        // d(x y^T): dx = gy y, dy = gy^T x.
+                        const auto& [x, y] = n.parents;
+                        if (need & kFirst) out[0] = matmul(gy, y);
+                        if (need & kSecond) out[1] = matmul_tn(gy, x);
+                      });
+}
+
+Var matmul_tn(const Var& a, const Var& b) {
+  return Var::make_op("matmul_tn", k::matmul_tn(a.value(), b.value()), {a, b},
+                      [](const Node& n, const Var& gy, unsigned need, ParentGrads& out) {
+                        // d(x^T y): dx = y gy^T, dy = x gy.
+                        const auto& [x, y] = n.parents;
+                        if (need & kFirst) out[0] = matmul_nt(y, gy);
+                        if (need & kSecond) out[1] = matmul(x, gy);
                       });
 }
 
@@ -152,6 +166,20 @@ Var col2im(const Var& cols, Shape image_shape, int k, int pad, int stride) {
   return Var::make_op("col2im", k::col2im(cols.value(), image_shape, k, pad, stride), {cols},
                       [k, pad, stride](const Node&, const Var& gy, unsigned, ParentGrads& out) {
                         out[0] = im2col(gy, k, pad, stride);
+                      });
+}
+
+Var sum_pool2d(const Var& x, int k) {
+  return Var::make_op("sum_pool2d", k::sum_pool2d(x.value(), k), {x},
+                      [k](const Node&, const Var& gy, unsigned, ParentGrads& out) {
+                        out[0] = spread_pool2d(gy, k);
+                      });
+}
+
+Var spread_pool2d(const Var& g, int k) {
+  return Var::make_op("spread_pool2d", k::spread_pool2d(g.value(), k), {g},
+                      [k](const Node&, const Var& gy, unsigned, ParentGrads& out) {
+                        out[0] = sum_pool2d(gy, k);
                       });
 }
 

@@ -27,11 +27,12 @@ Var relu(const Var& a);
 Var add_scalar(const Var& a, float s);
 Var mul_scalar(const Var& a, float s);
 
-/// [M,K] x [K,N] matrix product.
+/// Matrix products (see kernels::matmul): A x B, A x B^T and A^T x B. Each
+/// one's VJPs are built from the other two, so no backward ever
+/// materializes a transpose.
 Var matmul(const Var& a, const Var& b);
-
-/// 2-D transpose.
-Var transpose(const Var& a);
+Var matmul_nt(const Var& a, const Var& b);
+Var matmul_tn(const Var& a, const Var& b);
 
 /// Contiguous reinterpretation to a shape of equal numel.
 Var reshape(const Var& a, Shape shape);
@@ -42,6 +43,11 @@ Var permute(const Var& a, std::vector<int> dims);
 /// Convolution unfolding (see kernels::im2col); adjoint pair with col2im.
 Var im2col(const Var& x, int k, int pad, int stride);
 Var col2im(const Var& cols, Shape image_shape, int k, int pad, int stride);
+
+/// k x k window sums of [N,C,H,W]; adjoint pair with spread_pool2d (see
+/// kernels::sum_pool2d).
+Var sum_pool2d(const Var& x, int k);
+Var spread_pool2d(const Var& g, int k);
 
 /// Sum down to a broadcast-compatible shape; adjoint pair with broadcast_to.
 Var reduce_sum_to(const Var& a, const Shape& target_shape);

@@ -1,6 +1,7 @@
 #include "fl/resilient.h"
 
 #include <algorithm>
+#include <atomic>
 #include <cmath>
 #include <optional>
 #include <stdexcept>
@@ -259,14 +260,22 @@ nn::ModelState run_resilient(nn::Module& model, nn::ModelState global,
         };
 
         if (parallel) {
+          // Workers claim clients largest-first from one shared cursor, so
+          // the heavy clients start early and the light ones fill the tail;
+          // ties keep cohort order. Which worker runs a client does not
+          // change its bits (each client loads the global state first).
+          std::vector<std::size_t> claim_order(wave_len);
+          for (std::size_t i = 0; i < wave_len; ++i) claim_order[i] = wave_begin + i;
+          std::stable_sort(claim_order.begin(), claim_order.end(),
+                           [&](std::size_t x, std::size_t y) {
+                             return client_data[static_cast<std::size_t>(cohort[x])].size() >
+                                    client_data[static_cast<std::size_t>(cohort[y])].size();
+                           });
+          std::atomic<std::size_t> next{0};
           // qdlint: shared-write(workers write disjoint slots/slot_costs entries; each owns its model)
           ThreadPool::global().run_chunks(n_workers, [&](int w) {
-            const std::size_t b = wave_begin + wave_len * static_cast<std::size_t>(w) /
-                                                   static_cast<std::size_t>(n_workers);
-            const std::size_t e = wave_begin + wave_len * static_cast<std::size_t>(w + 1) /
-                                                   static_cast<std::size_t>(n_workers);
-            for (std::size_t idx = b; idx < e; ++idx) {
-              run_client(idx, *worker_models[static_cast<std::size_t>(w)]);
+            for (std::size_t i = next.fetch_add(1); i < wave_len; i = next.fetch_add(1)) {
+              run_client(claim_order[i], *worker_models[static_cast<std::size_t>(w)]);
             }
           });
         } else {

@@ -27,7 +27,7 @@ ag::Var Linear::forward(const ag::Var& input) {
     throw std::invalid_argument("Linear: input must be [N, in], got " +
                                 shape_to_string(input.shape()));
   }
-  return ag::add(ag::matmul(input, ag::transpose(weight_)), bias_);
+  return ag::add(ag::matmul_nt(input, weight_), bias_);
 }
 
 void Linear::collect_parameters(std::vector<ag::Var>& out) {
@@ -110,14 +110,8 @@ ag::Var AvgPool2d::forward(const ag::Var& input) {
     throw std::invalid_argument("AvgPool2d: input " + shape_to_string(s) +
                                 " not divisible by kernel " + std::to_string(kernel_));
   }
-  const std::int64_t n = s[0], c = s[1], oh = s[2] / kernel_, ow = s[3] / kernel_;
-  // [N,C,H,W] -> [N,C,OH,k,OW,k] is a contiguous reinterpretation; averaging
-  // over the two k axes is then a reduction, so pooling composes from
-  // reshape + reduce and needs no dedicated primitive.
-  ag::Var x = ag::reshape(input, {n, c, oh, kernel_, ow, kernel_});
-  x = ag::reduce_sum_to(x, {n, c, oh, 1, ow, 1});
-  x = ag::reshape(x, {n, c, oh, ow});
-  return ag::mul_scalar(x, 1.0f / static_cast<float>(kernel_ * kernel_));
+  return ag::mul_scalar(ag::sum_pool2d(input, kernel_),
+                        1.0f / static_cast<float>(kernel_ * kernel_));
 }
 
 ag::Var Flatten::forward(const ag::Var& input) {

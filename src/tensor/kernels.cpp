@@ -2,8 +2,10 @@
 
 #include <algorithm>
 #include <cmath>
+#include <cstring>
 #include <stdexcept>
 #include <string>
+#include <type_traits>
 
 #include "tensor/simd.h"
 #include "util/thread_pool.h"
@@ -15,8 +17,9 @@
 // count, including the serial fallback at 1 thread.
 //
 // Outputs: the pure maps and gathers (binary_op, map_runs, gather,
-// transpose2d) write every output element, so they start from an
-// uninitialized tensor; the accumulating kernels (matmul, reduce_sum_to,
+// spread_pool2d) and the kernels that start each sum from +0 in a register
+// (the packed GEMM, sum_pool2d) write every output element, so they start
+// from an uninitialized tensor; the accumulating kernels (reduce_sum_to,
 // col2im) and im2col, whose padding is never written, start from zeros.
 //
 // Contiguous runs: the broadcast, gather and reduction kernels first
@@ -262,44 +265,169 @@ Tensor mul_scalar(const Tensor& a, float s) {
   return map_runs(a, [run, s](float* o, const float* x, std::int64_t n) { run(o, x, s, n); });
 }
 
-Tensor matmul(const Tensor& a, const Tensor& b) {
-  if (a.rank() != 2 || b.rank() != 2 || a.dim(1) != b.dim(0)) {
-    throw std::invalid_argument("matmul: bad shapes " + shape_to_string(a.shape()) + " x " +
-                                shape_to_string(b.shape()));
+namespace {
+
+// The packed GEMM behind matmul, matmul_nt and matmul_tn. Output element
+// (i, j) has one fixed chain: it starts from +0; each group of four p adds
+// ((a0*b0 + a1*b1) + a2*b2) + a3*b3 to the accumulator; the k % 4 tail adds
+// a*b one p at a time (a from A, b from B). Every trained checkpoint's bits
+// depend on this chain (tests/core/trained_bits_pin_test.cpp), and
+// tests/tensor/kernel_oracle.cpp writes it as scalar loops. kGemmKc is a
+// multiple of 4, so blocking over k only parks the accumulator in the
+// output between blocks and never moves a group boundary; how an operand is
+// stored only changes where the 4x8 tile reads it. So results are the same
+// for all three products on transposed operands, across dispatch tables and
+// at any thread count.
+//
+// The tile broadcasts A values one at a time, so it reads A, stored either
+// way, in place through two strides; only a ragged edge of fewer than four
+// rows is packed, into a zero-padded panel. It reads eight consecutive B
+// values per p, so each task packs its B or B^T block into [kc][8] panels
+// (zero-padded past n) once per k-block. Packing also keeps the tile off
+// rows of B a multiple of 4 KiB apart, which would all share one cache set.
+constexpr std::int64_t kGemmKc = 256;  // k per block; a multiple of 4
+constexpr std::int64_t kGemmMc = 64;   // output rows per task; a multiple of 4
+constexpr std::int64_t kGemmNc = 256;  // output columns per task; a multiple of 8
+
+/// One factor of a product: logical element (r, c) is data[r * ld + c], or
+/// data[c * ld + r] when the factor is stored transposed.
+struct Operand {
+  const float* data;
+  std::int64_t ld;
+  bool trans;
+};
+
+/// Packs rows [i, i + rows) x k-range [p0, p0 + kc) of A, rows < 4, into a
+/// [kc][4] panel whose missing rows are zeros.
+void pack_a_edge(const Operand& a, std::int64_t i, std::int64_t rows, std::int64_t p0,
+                 std::int64_t kc, float* dst) {
+  std::fill(dst, dst + 4 * kc, 0.0f);
+  for (std::int64_t r = 0; r < rows; ++r) {
+    for (std::int64_t p = 0; p < kc; ++p) {
+      dst[p * 4 + r] = a.trans ? a.data[(p0 + p) * a.ld + i + r] : a.data[(i + r) * a.ld + p0 + p];
+    }
   }
-  const std::int64_t m = a.dim(0), k = a.dim(1), n = b.dim(1);
-  Tensor out({m, n});
-  auto da = a.data(), db = b.data();
-  auto od = out.data();
-  // Row-partitioned blocked ikj: each output row is owned by one chunk, and
-  // its accumulation order over kk is fixed by the kk-tiling constants alone,
-  // so any row partition yields bit-identical results. The kk tile keeps a
-  // block of B rows hot across the chunk's rows; the 4-way kk unroll keeps
-  // the inner j loop branch-free and vectorizable (the old `av == 0` skip
-  // defeated both).
-  constexpr std::int64_t kKTile = 128;
-  const auto& simd_k = simd::active();
+}
+
+/// Packs k-range [p0, p0 + kc) x columns [j, j + cols) of B, cols <= 8, into
+/// a [kc][8] panel whose missing columns are zeros.
+void pack_b(const Operand& b, std::int64_t j, std::int64_t cols, std::int64_t p0,
+            std::int64_t kc, float* dst) {
+  if (cols < 8) std::fill(dst, dst + 8 * kc, 0.0f);
+  if (!b.trans) {
+    const float* src = b.data + p0 * b.ld + j;
+    for (std::int64_t p = 0; p < kc; ++p, src += b.ld) {
+      if (cols == 8) {
+        std::memcpy(dst + p * 8, src, 8 * sizeof(float));
+      } else {
+        std::copy(src, src + cols, dst + p * 8);
+      }
+    }
+    return;
+  }
+  if (cols < 8) {
+    for (std::int64_t c = 0; c < cols; ++c) {
+      const float* src = b.data + (j + c) * b.ld + p0;
+      for (std::int64_t p = 0; p < kc; ++p) dst[p * 8 + c] = src[p];
+    }
+    return;
+  }
+  // A full B^T strip: eight source rows read side by side, each panel row
+  // written whole.
+  const float* src[8];
+  for (std::int64_t c = 0; c < 8; ++c) src[c] = b.data + (j + c) * b.ld + p0;
+  for (std::int64_t p = 0; p < kc; ++p) {
+    float* d = dst + p * 8;
+    d[0] = src[0][p];
+    d[1] = src[1][p];
+    d[2] = src[2][p];
+    d[3] = src[3][p];
+    d[4] = src[4][p];
+    d[5] = src[5][p];
+    d[6] = src[6][p];
+    d[7] = src[7][p];
+  }
+}
+
+/// c [m,n] = A [m,k] x B [k,n]. Tasks are kGemmMc x kGemmNc output blocks,
+/// each with its thread's own panels; every output element is written by one
+/// task, so c needs no zero-fill.
+Tensor gemm(const Operand& a, const Operand& b, std::int64_t m, std::int64_t n, std::int64_t k) {
+  if (k == 0) return Tensor({m, n});  // an empty sum is +0
+  Tensor out = Tensor::uninitialized({m, n});
+  if (m == 0 || n == 0) return out;
+  float* c = out.data().data();
+  const auto tile = simd::active().gemm4x8;
+  // A(r, p) sits at a_row * r + a_k * p from the block's first element.
+  const std::int64_t a_row = a.trans ? 1 : a.ld, a_k = a.trans ? a.ld : 1;
+  const std::int64_t row_blocks = (m + kGemmMc - 1) / kGemmMc;
+  const std::int64_t col_blocks = (n + kGemmNc - 1) / kGemmNc;
+  const std::int64_t task_cost = 2 * std::min(m, kGemmMc) * std::min(n, kGemmNc) * k;
+  // Panel sizes for this product's largest block: its B strips (columns
+  // padded to a multiple of 8), one ragged A strip, and a 4-row output
+  // panel for a ragged row strip.
+  const std::int64_t max_kc = std::min(k, kGemmKc);
+  const std::int64_t max_nc = (std::min(n, kGemmNc) + 7) / 8 * 8;
+  const auto panel_floats = static_cast<std::size_t>((max_nc + 4) * max_kc + 4 * max_nc);
   ThreadPool::global().parallel_for(
-      // qdlint: shared-write(each chunk owns output rows [i0,i1); db/da are read-only)
-      0, m, grain_for(2 * k * n), [&](std::int64_t i0, std::int64_t i1) {
-        for (std::int64_t kk0 = 0; kk0 < k; kk0 += kKTile) {
-          const std::int64_t kk1 = kk0 + kKTile < k ? kk0 + kKTile : k;
-          for (std::int64_t i = i0; i < i1; ++i) {
-            float* orow = od.data() + i * n;
-            const float* arow = da.data() + i * k;
-            std::int64_t kk = kk0;
-            for (; kk + 4 <= kk1; kk += 4) {
-              const float* b0 = db.data() + kk * n;
-              // The dispatched tile keeps the exact left-associated
-              // mul-then-add chain of the scalar expression
-              // orow[j] += a0*b0[j] + a1*b1[j] + a2*b2[j] + a3*b3[j],
-              // so results stay bitwise identical across dispatch paths.
-              simd_k.matmul_tile4(orow, arow[kk], arow[kk + 1], arow[kk + 2], arow[kk + 3], b0,
-                                  b0 + n, b0 + 2 * n, b0 + 3 * n, n);
+      // qdlint: shared-write(each task owns its own output block of c; a and b are read-only)
+      0, row_blocks * col_blocks, grain_for(task_cost), [&](std::int64_t t0, std::int64_t t1) {
+        // Per-thread panels; they only grow, to the largest product the
+        // thread has run.
+        thread_local std::vector<float> panels;
+        if (panels.size() < panel_floats) panels.resize(panel_floats);
+        float* const b_panels = panels.data();
+        float* const a_edge = b_panels + max_nc * max_kc;
+        float* const row_scratch = a_edge + 4 * max_kc;
+        for (std::int64_t t = t0; t < t1; ++t) {
+          const std::int64_t i0 = t / col_blocks * kGemmMc, j0 = t % col_blocks * kGemmNc;
+          const std::int64_t i1 = std::min(m, i0 + kGemmMc), j1 = std::min(n, j0 + kGemmNc);
+          const std::int64_t strips = (j1 - j0) / 8, tail = (j1 - j0) % 8;
+          for (std::int64_t p0 = 0; p0 < k; p0 += kGemmKc) {
+            const std::int64_t kc = std::min(kGemmKc, k - p0);
+            const bool load = p0 > 0;
+            for (std::int64_t j = j0; j < j1; j += 8) {
+              pack_b(b, j, std::min<std::int64_t>(8, j1 - j), p0, kc, b_panels + (j - j0) * kc);
             }
-            for (; kk < kk1; ++kk) {
-              // Remainder rows are plain axpy over the output row.
-              simd_k.axpy(orow, db.data() + kk * n, arow[kk], n);
+            // One row strip at a time across the block's column strips: each
+            // output row is written left to right.
+            for (std::int64_t i = i0; i < i1; i += 4) {
+              const std::int64_t rows = std::min<std::int64_t>(4, i1 - i);
+              const float* ap = a.data + i * a_row + p0 * a_k;
+              std::int64_t ar = a_row, ak = a_k;
+              if (rows < 4) {
+                pack_a_edge(a, i, rows, p0, kc, a_edge);
+                ap = a_edge;
+                ar = 1;
+                ak = 4;
+              }
+              float* ct = c + i * n + j0;
+              if (rows == 4) {
+                tile(ct, n, ap, ar, ak, b_panels, kc, strips, load);
+              } else if (strips > 0) {
+                // A ragged row strip runs on a 4-row scratch panel; only
+                // its real rows are read and written back.
+                const std::int64_t w = 8 * strips;
+                for (std::int64_t r = 0; r < rows && load; ++r) {
+                  std::copy(ct + r * n, ct + r * n + w, row_scratch + r * max_nc);
+                }
+                tile(row_scratch, max_nc, ap, ar, ak, b_panels, kc, strips, load);
+                for (std::int64_t r = 0; r < rows; ++r) {
+                  std::copy(row_scratch + r * max_nc, row_scratch + r * max_nc + w, ct + r * n);
+                }
+              }
+              if (tail > 0) {
+                // A ragged column strip runs on a 4x8 scratch tile.
+                float scratch[32] = {};
+                float* cc = ct + 8 * strips;
+                for (std::int64_t r = 0; r < rows && load; ++r) {
+                  std::copy(cc + r * n, cc + r * n + tail, scratch + r * 8);
+                }
+                tile(scratch, 8, ap, ar, ak, b_panels + strips * 8 * kc, kc, 1, load);
+                for (std::int64_t r = 0; r < rows; ++r) {
+                  std::copy(scratch + r * 8, scratch + r * 8 + tail, cc + r * n);
+                }
+              }
             }
           }
         }
@@ -307,35 +435,31 @@ Tensor matmul(const Tensor& a, const Tensor& b) {
   return out;
 }
 
-Tensor transpose2d(const Tensor& a) {
-  if (a.rank() != 2) throw std::invalid_argument("transpose2d: rank must be 2");
-  const std::int64_t m = a.dim(0), n = a.dim(1);
-  Tensor out = Tensor::uninitialized({n, m});
-  const float* da = a.data().data();
-  float* od = out.data().data();
-  const auto tile = simd::active().transpose8x8;
-  // Partitioned over output rows; a pure gather. A block of kRows input rows
-  // is walked in 8x8 tiles (8 output rows at a time), so the block's reads
-  // and the tiles' writes stay in L1; ragged edges are copied one by one.
-  constexpr std::int64_t kRows = 64;
-  // qdlint: shared-write(each chunk owns output rows [j0,j1))
-  ThreadPool::global().parallel_for(0, n, grain_for(m), [&](std::int64_t j0, std::int64_t j1) {
-    for (std::int64_t ib = 0; ib < m; ib += kRows) {
-      const std::int64_t ie = std::min(ib + kRows, m);
-      std::int64_t jb = j0;
-      for (; jb + 8 <= j1; jb += 8) {
-        std::int64_t i = ib;
-        for (; i + 8 <= ie; i += 8) tile(od + jb * m + i, m, da + i * n + jb, n);
-        for (; i < ie; ++i) {
-          for (std::int64_t j = jb; j < jb + 8; ++j) od[j * m + i] = da[i * n + j];
-        }
-      }
-      for (; jb < j1; ++jb) {
-        for (std::int64_t i = ib; i < ie; ++i) od[jb * m + i] = da[i * n + jb];
-      }
-    }
-  });
-  return out;
+void check_product(bool ok, const char* name, const Tensor& a, const Tensor& b) {
+  if (!ok) {
+    throw std::invalid_argument(std::string(name) + ": bad shapes " + shape_to_string(a.shape()) +
+                                " x " + shape_to_string(b.shape()));
+  }
+}
+
+}  // namespace
+
+Tensor matmul(const Tensor& a, const Tensor& b) {
+  check_product(a.rank() == 2 && b.rank() == 2 && a.dim(1) == b.dim(0), "matmul", a, b);
+  const std::int64_t m = a.dim(0), k = a.dim(1), n = b.dim(1);
+  return gemm({a.data().data(), k, false}, {b.data().data(), n, false}, m, n, k);
+}
+
+Tensor matmul_nt(const Tensor& a, const Tensor& b) {
+  check_product(a.rank() == 2 && b.rank() == 2 && a.dim(1) == b.dim(1), "matmul_nt", a, b);
+  const std::int64_t m = a.dim(0), k = a.dim(1), n = b.dim(0);
+  return gemm({a.data().data(), k, false}, {b.data().data(), k, true}, m, n, k);
+}
+
+Tensor matmul_tn(const Tensor& a, const Tensor& b) {
+  check_product(a.rank() == 2 && b.rank() == 2 && a.dim(0) == b.dim(0), "matmul_tn", a, b);
+  const std::int64_t k = a.dim(0), m = a.dim(1), n = b.dim(1);
+  return gemm({a.data().data(), m, true}, {b.data().data(), n, false}, m, n, k);
 }
 
 Tensor permute(const Tensor& a, const std::vector<int>& dims) {
@@ -587,13 +711,14 @@ Tensor col2im(const Tensor& cols, const Shape& image_shape, int k, int pad, int 
   const float* dc = cols.data().data();
   float* od = out.data().data();
   const std::int64_t col_width = n * oh * ow;
-  const auto add_run = simd::active().binary[simd::kAdd];
   // Partitioned over output image planes (ni, ci): every output pixel
   // belongs to exactly one plane, so the overlapping += accumulation is
   // race-free, and each pixel receives its contributions in the fixed
   // (ki, kj, y, xo) order regardless of how planes are distributed. Within
   // one (ki, kj, y) the xo run touches distinct pixels, so it is added as
-  // one run; padding positions are skipped by range, not by a branch.
+  // one run, inline: the runs are image rows, too short to pay for a
+  // dispatched call. Padding positions are skipped by range, not by a
+  // branch.
   ThreadPool::global().parallel_for(
       0, n * c, grain_for(static_cast<std::int64_t>(k) * k * oh * ow),
       // qdlint: shared-write(each chunk owns image planes [p0,p1); dc is read-only)
@@ -613,7 +738,16 @@ Tensor col2im(const Tensor& cols, const Shape& image_shape, int k, int pad, int 
                 float* dst = img + (y * stride + ki - pad) * w + xs.lo * stride + kj - pad;
                 const float* src = in_row + (ni * oh + y) * ow + xs.lo;
                 if (stride == 1) {
-                  add_run(dst, dst, src, len);
+                  // Unrolled four wide, so the compiler pairs the adds into
+                  // vector adds; each element still gets one add.
+                  std::int64_t t = 0;
+                  for (; t + 4 <= len; t += 4) {
+                    dst[t] += src[t];
+                    dst[t + 1] += src[t + 1];
+                    dst[t + 2] += src[t + 2];
+                    dst[t + 3] += src[t + 3];
+                  }
+                  for (; t < len; ++t) dst[t] += src[t];
                 } else {
                   for (std::int64_t t = 0; t < len; ++t) dst[t * stride] += src[t];
                 }
@@ -622,6 +756,86 @@ Tensor col2im(const Tensor& cols, const Shape& image_shape, int k, int pad, int 
           }
         }
       });
+  return out;
+}
+
+namespace {
+void check_pool_geometry(const Shape& shape, int k, const char* name) {
+  if (shape.size() != 4 || k <= 0 || shape[2] % k != 0 || shape[3] % k != 0) {
+    throw std::invalid_argument(std::string(name) + ": " + shape_to_string(shape) +
+                                " is not [N,C,H,W] with H and W divisible by " +
+                                std::to_string(k));
+  }
+}
+
+/// Calls body(k) with k as a compile-time constant for the ConvNet's 2x2
+/// pooling, so the window loops unroll, and as a runtime value otherwise.
+template <typename Body>
+void with_window(std::int64_t k, Body&& body) {
+  if (k == 2) {
+    body(std::integral_constant<std::int64_t, 2>{});
+  } else {
+    body(k);
+  }
+}
+}  // namespace
+
+Tensor sum_pool2d(const Tensor& x, int k) {
+  check_pool_geometry(x.shape(), k, "sum_pool2d");
+  const std::int64_t h = x.dim(2), w = x.dim(3), oh = h / k, ow = w / k;
+  Tensor out = Tensor::uninitialized({x.dim(0), x.dim(1), oh, ow});
+  const float* dx = x.data().data();
+  float* od = out.data().data();
+  // Partitioned over output rows (plane, oy). Each window sums from +0 in
+  // row-major (ki, kj) order: the increasing input-flat order in which
+  // reduce_sum_to sums [N,C,OH,k,OW,k] down to [N,C,OH,1,OW,1].
+  with_window(k, [&](auto kk) {
+    ThreadPool::global().parallel_for(
+        0, out.numel() / std::max<std::int64_t>(ow, 1), grain_for(kk * w),
+        // qdlint: shared-write(each chunk owns output rows [r0,r1); dx is read-only)
+        [&](std::int64_t r0, std::int64_t r1) {
+          for (std::int64_t row = r0; row < r1; ++row) {
+            float* o = od + row * ow;
+            const float* in = dx + row * kk * w;  // input rows k*row .. k*row + k - 1
+            for (std::int64_t ox = 0; ox < ow; ++ox, in += kk) {
+              float acc = 0.0f;
+              for (std::int64_t ki = 0; ki < kk; ++ki) {
+                for (std::int64_t kj = 0; kj < kk; ++kj) acc += in[ki * w + kj];
+              }
+              o[ox] = acc;
+            }
+          }
+        });
+  });
+  return out;
+}
+
+Tensor spread_pool2d(const Tensor& g, int k) {
+  if (g.rank() != 4 || k <= 0) {
+    throw std::invalid_argument("spread_pool2d: " + shape_to_string(g.shape()) +
+                                " is not [N,C,OH,OW]");
+  }
+  const std::int64_t ow = g.dim(3), w = ow * k;
+  Tensor out = Tensor::uninitialized({g.dim(0), g.dim(1), g.dim(2) * k, w});
+  const float* dg = g.data().data();
+  float* od = out.data().data();
+  // A pure copy, partitioned over input rows: each fills the k output rows
+  // its window row covers.
+  with_window(k, [&](auto kk) {
+    ThreadPool::global().parallel_for(
+        0, g.numel() / std::max<std::int64_t>(ow, 1), grain_for(kk * w),
+        // qdlint: shared-write(each chunk owns the output rows of input rows [r0,r1))
+        [&](std::int64_t r0, std::int64_t r1) {
+          for (std::int64_t row = r0; row < r1; ++row) {
+            const float* src = dg + row * ow;
+            float* o = od + row * kk * w;
+            for (std::int64_t ox = 0; ox < ow; ++ox) {
+              for (std::int64_t kj = 0; kj < kk; ++kj) o[ox * kk + kj] = src[ox];
+            }
+            for (std::int64_t ki = 1; ki < kk; ++ki) std::copy(o, o + w, o + ki * w);
+          }
+        });
+  });
   return out;
 }
 

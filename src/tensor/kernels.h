@@ -27,11 +27,13 @@ Tensor gt_zero_mask(const Tensor& a);
 Tensor add_scalar(const Tensor& a, float s);
 Tensor mul_scalar(const Tensor& a, float s);
 
-/// Dense [M,K] x [K,N] -> [M,N] matrix product.
+/// Dense matrix products, one packed GEMM behind all three: A x B for
+/// a [M,K], b [K,N]; A x B^T for b [N,K]; A^T x B for a [K,M]. Each output
+/// element has the same summation chain in all three (kernels.cpp), so a
+/// product of an explicitly transposed operand gives the same bits.
 Tensor matmul(const Tensor& a, const Tensor& b);
-
-/// 2-D transpose.
-Tensor transpose2d(const Tensor& a);
+Tensor matmul_nt(const Tensor& a, const Tensor& b);
+Tensor matmul_tn(const Tensor& a, const Tensor& b);
 
 /// General axis permutation; dims is a permutation of 0..rank-1.
 Tensor permute(const Tensor& a, const std::vector<int>& dims);
@@ -50,6 +52,15 @@ Tensor im2col(const Tensor& x, int k, int pad, int stride);
 /// Adjoint of im2col: folds columns back into an [N,C,H,W] image,
 /// accumulating overlapping contributions.
 Tensor col2im(const Tensor& cols, const Shape& image_shape, int k, int pad, int stride);
+
+/// Sums each k x k window of x [N,C,H,W] (H and W divisible by k) into
+/// [N,C,H/k,W/k], from +0 in row-major window order. The adjoint of
+/// spread_pool2d.
+Tensor sum_pool2d(const Tensor& x, int k);
+
+/// Copies each element of g [N,C,OH,OW] to its k x k window of an
+/// [N,C,OH*k,OW*k] output. The adjoint of sum_pool2d.
+Tensor spread_pool2d(const Tensor& g, int k);
 
 /// Per-row maximum of a [N,C] matrix, returned as [N,1].
 Tensor row_max(const Tensor& a);

@@ -95,12 +95,6 @@ void relu_mask_scalar(float* o, const float* a, std::int64_t n) {
   for (std::int64_t i = 0; i < n; ++i) o[i] = a[i] > 0.0f ? 1.0f : 0.0f;
 }
 
-void transpose8x8_scalar(float* dst, std::int64_t ldd, const float* src, std::int64_t lds) {
-  for (std::int64_t r = 0; r < 8; ++r) {
-    for (std::int64_t c = 0; c < 8; ++c) dst[c * ldd + r] = src[r * lds + c];
-  }
-}
-
 double sum_squares_scalar(const float* x, std::int64_t n) {
   // Four independent accumulator lanes over i ≡ 0..3 (mod 4), combined as
   // ((l0 + l2) + (l1 + l3)) + tail — the AVX2 register reduction performs
@@ -175,10 +169,37 @@ void dscale_store_scalar(float* o, const double* acc, double s, std::int64_t n) 
   for (std::int64_t i = 0; i < n; ++i) o[i] = static_cast<float>(acc[i] * s);
 }
 
-void matmul_tile4_scalar(float* c, float a0, float a1, float a2, float a3, const float* b0,
-                         const float* b1, const float* b2, const float* b3, std::int64_t n) {
-  for (std::int64_t j = 0; j < n; ++j) {
-    c[j] += a0 * b0[j] + a1 * b1[j] + a2 * b2[j] + a3 * b3[j];
+void gemm4x8_tile_scalar(float* c, std::int64_t ldc, const float* a, std::int64_t a_row,
+                         std::int64_t a_k, const float* b, std::int64_t kc, bool load) {
+  float acc[4][8];
+  for (int r = 0; r < 4; ++r) {
+    for (int j = 0; j < 8; ++j) acc[r][j] = load ? c[r * ldc + j] : 0.0f;
+  }
+  std::int64_t p = 0;
+  for (; p + 4 <= kc; p += 4, a += 4 * a_k, b += 32) {
+    for (int r = 0; r < 4; ++r) {
+      const float* ar = a + r * a_row;
+      for (int j = 0; j < 8; ++j) {
+        acc[r][j] += ar[0] * b[j] + ar[a_k] * b[8 + j] + ar[2 * a_k] * b[16 + j] +
+                     ar[3 * a_k] * b[24 + j];
+      }
+    }
+  }
+  for (; p < kc; ++p, a += a_k, b += 8) {
+    for (int r = 0; r < 4; ++r) {
+      for (int j = 0; j < 8; ++j) acc[r][j] += a[r * a_row] * b[j];
+    }
+  }
+  for (int r = 0; r < 4; ++r) {
+    for (int j = 0; j < 8; ++j) c[r * ldc + j] = acc[r][j];
+  }
+}
+
+void gemm4x8_scalar(float* c, std::int64_t ldc, const float* a, std::int64_t a_row,
+                    std::int64_t a_k, const float* b, std::int64_t kc, std::int64_t strips,
+                    bool load) {
+  for (std::int64_t s = 0; s < strips; ++s) {
+    gemm4x8_tile_scalar(c + 8 * s, ldc, a, a_row, a_k, b + s * 8 * kc, kc, load);
   }
 }
 
@@ -192,7 +213,7 @@ constexpr Kernels kScalarKernels = {
     .wavg_store = wavg_store_scalar,
     .dadd = dadd_scalar,
     .dscale_store = dscale_store_scalar,
-    .matmul_tile4 = matmul_tile4_scalar,
+    .gemm4x8 = gemm4x8_scalar,
     .binary = {binary_scalar<AddOp>, binary_scalar<SubOp>, binary_scalar<MulOp>,
                binary_scalar<DivOp>},
     .binary_rs = {binary_rs_scalar<AddOp>, binary_rs_scalar<SubOp>, binary_rs_scalar<MulOp>,
@@ -201,7 +222,6 @@ constexpr Kernels kScalarKernels = {
                   binary_ls_scalar<DivOp>},
     .relu = relu_scalar,
     .relu_mask = relu_mask_scalar,
-    .transpose8x8 = transpose8x8_scalar,
 };
 
 // ---- Dispatch ------------------------------------------------------------

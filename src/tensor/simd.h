@@ -9,14 +9,14 @@
 //
 // Bitwise-determinism contract (DESIGN.md §13): both paths must produce
 // bit-identical results for every kernel. Elementwise kernels (axpy, scale,
-// the binary and relu runs, the weighted-average fold, matmul_tile4) keep
-// each element's operation chain unchanged — vectorization only batches
-// independent chains — and transpose8x8 only moves bits, so parity is
-// structural. The reductions (sum_squares, sum_squared_diff) are
-// lane-structured: four independent double accumulators over elements
-// i ≡ 0..3 (mod 4), combined as ((l0 + l2) + (l1 + l3)) + tail, which is
-// exactly the fold an AVX2 4x64-bit register reduction performs. The scalar
-// oracle mirrors that structure, so the two paths agree bit-for-bit.
+// the binary and relu runs, the weighted-average fold, the gemm4x8 tile)
+// keep each element's operation chain unchanged — vectorization only batches
+// independent chains — so parity is structural. The reductions (sum_squares,
+// sum_squared_diff) are lane-structured: four independent double
+// accumulators over elements i ≡ 0..3 (mod 4), combined as
+// ((l0 + l2) + (l1 + l3)) + tail, which is exactly the fold an AVX2 4x64-bit
+// register reduction performs. The scalar oracle mirrors that structure, so
+// the two paths agree bit-for-bit.
 #pragma once
 
 #include <cstdint>
@@ -60,10 +60,16 @@ struct Kernels {
   /// round to float in one pass (the streaming weighted-average finalize,
   /// where the weight normalizer is only known after the last fold).
   void (*dscale_store)(float* o, const double* acc, double s, std::int64_t n);
-  /// c[j] += a0*b0[j] + a1*b1[j] + a2*b2[j] + a3*b3[j], left-associated,
-  /// mul-then-add (no FMA) — the blocked matmul's 4-way kk inner tile.
-  void (*matmul_tile4)(float* c, float a0, float a1, float a2, float a3, const float* b0,
-                       const float* b1, const float* b2, const float* b3, std::int64_t n);
+  /// The GEMM's 4x8 register tile (kernels.cpp), run over `strips` tiles
+  /// side by side: tile s is c[r * ldc + 8s + j] for r < 4, j < 8, over kc
+  /// steps p, with A(r, p) = a[r * a_row + p * a_k] and B(p, j) the packed
+  /// panel b[s * 8 * kc + p * 8 + j]. Each element's accumulator starts from
+  /// c (load) or from +0 (!load); every group of four p adds
+  /// ((a0*b0 + a1*b1) + a2*b2) + a3*b3 to it, and the kc % 4 tail adds a*b
+  /// one p at a time. Mul-then-add, no FMA.
+  void (*gemm4x8)(float* c, std::int64_t ldc, const float* a, std::int64_t a_row,
+                  std::int64_t a_k, const float* b, std::int64_t kc, std::int64_t strips,
+                  bool load);
   /// o[i] = a[i] op b[i], one entry per BinaryOp. o may be a or b itself
   /// (an exact alias, not a partial overlap).
   void (*binary[kNumBinaryOps])(float* o, const float* a, const float* b, std::int64_t n);
@@ -75,9 +81,6 @@ struct Kernels {
   void (*relu)(float* o, const float* a, std::int64_t n);
   /// o[i] = a[i] > 0 ? 1 : 0 — the ReLU mask.
   void (*relu_mask)(float* o, const float* a, std::int64_t n);
-  /// dst[c * ldd + r] = src[r * lds + c] for r, c in [0, 8): one 8x8 tile
-  /// of a transpose. Pure data movement: parity is structural.
-  void (*transpose8x8)(float* dst, std::int64_t ldd, const float* src, std::int64_t lds);
 };
 
 /// The hand-tiled scalar oracle. Always available.

@@ -114,29 +114,6 @@ void relu_mask_avx2(float* o, const float* a, std::int64_t n) {
   for (; i < n; ++i) o[i] = a[i] > 0.0f ? 1.0f : 0.0f;
 }
 
-void transpose8x8_avx2(float* dst, std::int64_t ldd, const float* src, std::int64_t lds) {
-  // Interleave pairs of rows, then pairs of pairs, then swap 128-bit
-  // halves: the standard in-register 8x8 transpose. Only moves bits.
-  __m256 r[8], t[8], u[8];
-  for (int k = 0; k < 8; ++k) r[k] = _mm256_loadu_ps(src + k * lds);
-  for (int k = 0; k < 8; k += 2) {
-    t[k] = _mm256_unpacklo_ps(r[k], r[k + 1]);
-    t[k + 1] = _mm256_unpackhi_ps(r[k], r[k + 1]);
-  }
-  for (int k = 0; k < 8; k += 4) {
-    u[k] = _mm256_shuffle_ps(t[k], t[k + 2], _MM_SHUFFLE(1, 0, 1, 0));
-    u[k + 1] = _mm256_shuffle_ps(t[k], t[k + 2], _MM_SHUFFLE(3, 2, 3, 2));
-    u[k + 2] = _mm256_shuffle_ps(t[k + 1], t[k + 3], _MM_SHUFFLE(1, 0, 1, 0));
-    u[k + 3] = _mm256_shuffle_ps(t[k + 1], t[k + 3], _MM_SHUFFLE(3, 2, 3, 2));
-  }
-  for (int k = 0; k < 4; ++k) {
-    // qdlint: shared-write(caller owns output rows dst[0..8) of this tile)
-    _mm256_storeu_ps(dst + k * ldd, _mm256_permute2f128_ps(u[k], u[k + 4], 0x20));
-    // qdlint: shared-write(caller owns output rows dst[0..8) of this tile)
-    _mm256_storeu_ps(dst + (k + 4) * ldd, _mm256_permute2f128_ps(u[k], u[k + 4], 0x31));
-  }
-}
-
 /// Reduces a 4x64-bit accumulator to ((l0 + l2) + (l1 + l3)) — the lane fold
 /// the scalar oracle mirrors.
 double reduce_lanes(__m256d acc) {
@@ -224,23 +201,59 @@ void dscale_store_avx2(float* o, const double* acc, double s, std::int64_t n) {
   for (; i < n; ++i) o[i] = static_cast<float>(acc[i] * s);
 }
 
-void matmul_tile4_avx2(float* c, float a0, float a1, float a2, float a3, const float* b0,
-                       const float* b1, const float* b2, const float* b3, std::int64_t n) {
-  const __m256 a0v = _mm256_set1_ps(a0), a1v = _mm256_set1_ps(a1);
-  const __m256 a2v = _mm256_set1_ps(a2), a3v = _mm256_set1_ps(a3);
-  std::int64_t j = 0;
-  for (; j + 8 <= n; j += 8) {
-    // Same left-associated mul-then-add chain as the scalar expression
-    // c[j] += a0*b0[j] + a1*b1[j] + a2*b2[j] + a3*b3[j].
-    __m256 t = _mm256_mul_ps(a0v, _mm256_loadu_ps(b0 + j));
-    t = _mm256_add_ps(t, _mm256_mul_ps(a1v, _mm256_loadu_ps(b1 + j)));
-    t = _mm256_add_ps(t, _mm256_mul_ps(a2v, _mm256_loadu_ps(b2 + j)));
-    t = _mm256_add_ps(t, _mm256_mul_ps(a3v, _mm256_loadu_ps(b3 + j)));
-    // qdlint: shared-write(caller owns this output row; the tile writes only c[0,n))
-    _mm256_storeu_ps(c + j, _mm256_add_ps(_mm256_loadu_ps(c + j), t));
-  }
-  for (; j < n; ++j) {
-    c[j] += a0 * b0[j] + a1 * b1[j] + a2 * b2[j] + a3 * b3[j];
+void gemm4x8_avx2(float* c, std::int64_t ldc, const float* a, std::int64_t a_row,
+                  std::int64_t a_k, const float* b, std::int64_t kc, std::int64_t strips,
+                  bool load) {
+  // acc += ((x0*b0 + x1*b1) + x2*b2) + x3*b3 for one tile row whose A values
+  // sit at x, x + a_k, x + 2 a_k, x + 3 a_k. Mul-then-add.
+  const auto group = [a_k](__m256 acc, const float* x, __m256 b0, __m256 b1, __m256 b2,
+                           __m256 b3) {
+    __m256 t = _mm256_mul_ps(_mm256_broadcast_ss(x), b0);
+    t = _mm256_add_ps(t, _mm256_mul_ps(_mm256_broadcast_ss(x + a_k), b1));
+    t = _mm256_add_ps(t, _mm256_mul_ps(_mm256_broadcast_ss(x + 2 * a_k), b2));
+    t = _mm256_add_ps(t, _mm256_mul_ps(_mm256_broadcast_ss(x + 3 * a_k), b3));
+    return _mm256_add_ps(acc, t);
+  };
+  const std::int64_t a_step = 4 * a_k;
+  for (std::int64_t s = 0; s < strips; ++s, c += 8) {
+    // One 8-lane accumulator per tile row, each lane the scalar oracle's
+    // chain for its element. The rows are spelled out so the accumulators
+    // stay in registers.
+    __m256 c0 = _mm256_setzero_ps(), c1 = c0, c2 = c0, c3 = c0;
+    if (load) {
+      c0 = _mm256_loadu_ps(c);
+      c1 = _mm256_loadu_ps(c + ldc);
+      c2 = _mm256_loadu_ps(c + 2 * ldc);
+      c3 = _mm256_loadu_ps(c + 3 * ldc);
+    }
+    const float* a0 = a;
+    const float* a1 = a + a_row;
+    const float* a2 = a + 2 * a_row;
+    const float* a3 = a + 3 * a_row;
+    std::int64_t p = 0;
+    for (; p + 4 <= kc; p += 4, a0 += a_step, a1 += a_step, a2 += a_step, a3 += a_step, b += 32) {
+      const __m256 b0 = _mm256_loadu_ps(b), b1 = _mm256_loadu_ps(b + 8);
+      const __m256 b2 = _mm256_loadu_ps(b + 16), b3 = _mm256_loadu_ps(b + 24);
+      c0 = group(c0, a0, b0, b1, b2, b3);
+      c1 = group(c1, a1, b0, b1, b2, b3);
+      c2 = group(c2, a2, b0, b1, b2, b3);
+      c3 = group(c3, a3, b0, b1, b2, b3);
+    }
+    for (; p < kc; ++p, a0 += a_k, a1 += a_k, a2 += a_k, a3 += a_k, b += 8) {
+      const __m256 bv = _mm256_loadu_ps(b);
+      c0 = _mm256_add_ps(c0, _mm256_mul_ps(_mm256_broadcast_ss(a0), bv));
+      c1 = _mm256_add_ps(c1, _mm256_mul_ps(_mm256_broadcast_ss(a1), bv));
+      c2 = _mm256_add_ps(c2, _mm256_mul_ps(_mm256_broadcast_ss(a2), bv));
+      c3 = _mm256_add_ps(c3, _mm256_mul_ps(_mm256_broadcast_ss(a3), bv));
+    }
+    // qdlint: shared-write(caller owns this 4-row output strip)
+    _mm256_storeu_ps(c, c0);
+    // qdlint: shared-write(caller owns this 4-row output strip)
+    _mm256_storeu_ps(c + ldc, c1);
+    // qdlint: shared-write(caller owns this 4-row output strip)
+    _mm256_storeu_ps(c + 2 * ldc, c2);
+    // qdlint: shared-write(caller owns this 4-row output strip)
+    _mm256_storeu_ps(c + 3 * ldc, c3);
   }
 }
 
@@ -254,7 +267,7 @@ constexpr Kernels kAvx2Kernels = {
     .wavg_store = wavg_store_avx2,
     .dadd = dadd_avx2,
     .dscale_store = dscale_store_avx2,
-    .matmul_tile4 = matmul_tile4_avx2,
+    .gemm4x8 = gemm4x8_avx2,
     .binary = {binary_avx2<AddOp>, binary_avx2<SubOp>, binary_avx2<MulOp>, binary_avx2<DivOp>},
     .binary_rs = {binary_rs_avx2<AddOp>, binary_rs_avx2<SubOp>, binary_rs_avx2<MulOp>,
                   binary_rs_avx2<DivOp>},
@@ -262,7 +275,6 @@ constexpr Kernels kAvx2Kernels = {
                   binary_ls_avx2<DivOp>},
     .relu = relu_avx2,
     .relu_mask = relu_mask_avx2,
-    .transpose8x8 = transpose8x8_avx2,
 };
 
 }  // namespace

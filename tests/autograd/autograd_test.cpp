@@ -97,7 +97,7 @@ TEST(GradcheckTest, ReluAwayFromKink) {
 
 TEST(GradcheckTest, MatmulTranspose) {
   const auto f = [](const std::vector<Var>& v) {
-    return sum_all(square(matmul(v[0], transpose(v[1]))));
+    return sum_all(square(matmul_nt(v[0], v[1])));
   };
   EXPECT_LT(max_gradient_error(f, {seq_tensor({2, 3}), seq_tensor({4, 3}, -0.2f)}), 2e-2);
 }
@@ -173,6 +173,31 @@ TEST(SecondOrderTest, MatmulBilinear) {
     return sum_all(square(matmul(v[0], v[1])));
   };
   EXPECT_LT(max_second_order_error(f, {seq_tensor({2, 3}), seq_tensor({3, 2}, -0.3f)}), 5e-2);
+}
+
+TEST(SecondOrderTest, MatmulNtBilinear) {
+  // Linear's product: x W^T. Its VJPs are matmul and matmul_tn, whose own
+  // VJPs close the set, so the second order exercises all three.
+  const auto f = [](const std::vector<Var>& v) {
+    return sum_all(square(matmul_nt(v[0], v[1])));
+  };
+  EXPECT_LT(max_second_order_error(f, {seq_tensor({2, 3}), seq_tensor({4, 3}, -0.3f)}), 5e-2);
+}
+
+TEST(SecondOrderTest, MatmulTnBilinear) {
+  // Conv2d's column gradient: W^T gy.
+  const auto f = [](const std::vector<Var>& v) {
+    return sum_all(square(matmul_tn(v[0], v[1])));
+  };
+  EXPECT_LT(max_second_order_error(f, {seq_tensor({3, 2}), seq_tensor({3, 4}, -0.3f)}), 5e-2);
+}
+
+TEST(SecondOrderTest, PoolPair) {
+  // Cubic, so the second order runs both VJPs of the adjoint pair.
+  const auto f = [](const std::vector<Var>& v) {
+    return sum_all(mul(square(v[0]), spread_pool2d(sum_pool2d(v[0], 2), 2)));
+  };
+  EXPECT_LT(max_second_order_error(f, {seq_tensor({1, 2, 4, 4}, 0.1f, 0.05f)}), 5e-2);
 }
 
 TEST(SecondOrderTest, ThroughIm2ColConv) {

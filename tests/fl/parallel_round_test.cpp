@@ -199,6 +199,42 @@ TEST(ParallelRoundTest, MoreThreadsThanClientsIsSafe) {
   EXPECT_EQ(cost1.sample_grads, cost2.sample_grads);
 }
 
+TEST(ParallelRoundTest, HeavyClientsFirstClaimedLargestFirstKeepBits) {
+  // Workers claim clients largest-first. Put every heavy client in the first
+  // half of the cohort, so the claim order differs from cohort order and
+  // from the old contiguous slices: the final state and every CostMeter
+  // field must still match the serial run.
+  Fixture f;
+  data::Partition parts(6);
+  const int n = f.tt.train.size();
+  for (int i = 0; i < n; ++i) {
+    // Clients 0-2 take 9 of every 12 samples, clients 3-5 one each.
+    const int slot = i % 12;
+    parts[static_cast<std::size_t>(slot < 9 ? slot / 3 : slot - 6)].push_back(i);
+  }
+  f.clients = data::materialize(f.tt.train, parts);
+  ASSERT_GT(f.clients[0].size(), 2 * f.clients[5].size());
+  ResilientConfig cfg = faulty_config(f);
+  cfg.participation = 1.0f;
+  ThreadGuard guard;
+  const auto [serial, cost1] = run_at(f, cfg, 1);
+  for (const int t : {2, 4}) {
+    const auto [parallel, cost_t] = run_at(f, cfg, t);
+    expect_states_bitwise_equal(serial, parallel);
+    EXPECT_EQ(cost1.sample_grads, cost_t.sample_grads) << t;
+    EXPECT_EQ(cost1.distill_sample_grads, cost_t.distill_sample_grads) << t;
+    EXPECT_EQ(cost1.rounds, cost_t.rounds) << t;
+    EXPECT_EQ(cost1.bytes_up, cost_t.bytes_up) << t;
+    EXPECT_EQ(cost1.bytes_down, cost_t.bytes_down) << t;
+    EXPECT_EQ(cost1.crashed_clients, cost_t.crashed_clients) << t;
+    EXPECT_EQ(cost1.straggler_timeouts, cost_t.straggler_timeouts) << t;
+    EXPECT_EQ(cost1.quarantined_updates, cost_t.quarantined_updates) << t;
+    EXPECT_EQ(cost1.retried_rounds, cost_t.retried_rounds) << t;
+    EXPECT_EQ(cost1.lost_rounds, cost_t.lost_rounds) << t;
+    EXPECT_EQ(cost1.sim_backoff_seconds, cost_t.sim_backoff_seconds) << t;
+  }
+}
+
 TEST(ParallelRoundTest, SingleClientCohortRunsSerially) {
   Fixture f;
   // participation low enough that each round samples exactly one client.

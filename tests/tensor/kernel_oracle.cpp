@@ -106,6 +106,29 @@ Tensor mul_scalar(const Tensor& a, float s) {
   return unary_op(a, [s](float x) { return x * s; });
 }
 
+Tensor matmul(const Tensor& a, const Tensor& b) {
+  const std::int64_t m = a.dim(0), k = a.dim(1), n = b.dim(1);
+  Tensor out({m, n});
+  const float* da = a.data().data();
+  const float* db = b.data().data();
+  auto od = out.data();
+  for (std::int64_t i = 0; i < m; ++i) {
+    const float* x = da + i * k;
+    for (std::int64_t j = 0; j < n; ++j) {
+      const float* y = db + j;  // column j, stride n
+      float acc = 0.0f;
+      std::int64_t p = 0;
+      for (; p + 4 <= k; p += 4) {
+        acc += x[p] * y[p * n] + x[p + 1] * y[(p + 1) * n] + x[p + 2] * y[(p + 2) * n] +
+               x[p + 3] * y[(p + 3) * n];
+      }
+      for (; p < k; ++p) acc += x[p] * y[p * n];
+      od[static_cast<std::size_t>(i * n + j)] = acc;
+    }
+  }
+  return out;
+}
+
 Tensor transpose2d(const Tensor& a) {
   const std::int64_t m = a.dim(0), n = a.dim(1);
   Tensor out({n, m});

@@ -3,9 +3,13 @@
 // rank 0-6, size-1 dims, broadcasting on either operand, non-adjacent
 // reduced dims, tensors large enough that thread chunks cut runs mid-way —
 // every result must be memcmp-equal to the reference at 1 and 4 threads,
-// under both the scalar and the AVX2 dispatch table.
+// under both the scalar and the AVX2 dispatch table. The matrix products
+// meet the per-element chain of oracle::matmul on explicitly transposed
+// operands, and the pool pair the reshape/reduce/broadcast compositions it
+// replaced.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
 #include <cstring>
 #include <functional>
@@ -209,14 +213,71 @@ TEST(KernelOracle, Permute) {
                  "permute conv");
 }
 
-TEST(KernelOracle, Transpose2d) {
+/// Matrix values with signed zeros, infinities, NaN and subnormals at a rate
+/// of about one per two k-long dot products, so most outputs stay finite and
+/// a reordered sum still shows up in their bits. Which operand's NaN an add
+/// of two NaNs returns is left open by IEEE 754 and, in scalar C, by the
+/// compiler's choice of operand order; the input NaN is therefore the one
+/// that inf - inf and 0 * inf produce on x86 (sign bit set), so every NaN a
+/// chain can meet has the same bits.
+Tensor gemm_values(const Shape& shape, std::int64_t k, Rng& rng) {
+  Tensor t = Tensor::randn(shape, rng);
+  const float specials[] = {-0.0f,
+                            0.0f,
+                            std::numeric_limits<float>::infinity(),
+                            -std::numeric_limits<float>::infinity(),
+                            -std::numeric_limits<float>::quiet_NaN(),
+                            std::numeric_limits<float>::denorm_min(),
+                            -3.0e-39f};
+  const std::uint64_t one_in = static_cast<std::uint64_t>(std::max<std::int64_t>(8, 4 * k));
+  for (std::int64_t i = 0; i < t.numel(); ++i) {
+    if (rng.uniform_u64(one_in) == 0) t.at(i) = specials[rng.uniform_u64(7)];
+  }
+  return t;
+}
+
+TEST(KernelOracle, MatmulProductsMatchTheScalarChain) {
   Rng rng(107);
-  for (const auto& [m, n] : std::vector<std::pair<std::int64_t, std::int64_t>>{
-           {1, 1}, {1, 40}, {40, 1}, {15, 17}, {16, 16}, {27, 37 * 144}, {37 * 144, 27},
-           {10, 16}, {100, 3}}) {
-    const Tensor a = values({m, n}, rng);
-    expect_matches(oracle::transpose2d(a), [&] { return transpose2d(a); },
-                   "transpose2d " + shape_to_string(a.shape()));
+  for (const std::int64_t m : {1, 3, 4, 5, 17}) {
+    for (const std::int64_t n : {1, 7, 8, 9, 27}) {
+      for (const std::int64_t k : {1, 3, 4, 5, 128, 129, 300, 10240}) {
+        const Tensor a = gemm_values({m, k}, k, rng), b = gemm_values({k, n}, k, rng);
+        const Tensor at = oracle::transpose2d(a), bt = oracle::transpose2d(b);
+        const Tensor want = oracle::matmul(a, b);
+        const std::string what = std::to_string(m) + "x" + std::to_string(k) + "x" +
+                                 std::to_string(n);
+        expect_matches(want, [&] { return matmul(a, b); }, "matmul " + what);
+        expect_matches(want, [&] { return matmul_nt(a, bt); }, "matmul_nt " + what);
+        expect_matches(want, [&] { return matmul_tn(at, b); }, "matmul_tn " + what);
+      }
+    }
+  }
+  // Outputs spanning several row and column blocks, so tasks split across
+  // threads and ragged blocks meet full ones.
+  const Tensor a = gemm_values({150, 37}, 37, rng), b = gemm_values({37, 530}, 37, rng);
+  const Tensor want = oracle::matmul(a, b);
+  expect_matches(want, [&] { return matmul(a, b); }, "matmul 150x37x530");
+  expect_matches(want, [&] { return matmul_nt(a, oracle::transpose2d(b)); }, "matmul_nt blocks");
+  expect_matches(want, [&] { return matmul_tn(oracle::transpose2d(a), b); }, "matmul_tn blocks");
+}
+
+TEST(KernelOracle, PoolPairMatchesReshapeReduceBroadcast) {
+  // sum_pool2d and spread_pool2d against the compositions AvgPool2d used to
+  // build: reshape to [N,C,OH,k,OW,k], then reduce_sum_to / broadcast_to.
+  Rng rng(109);
+  for (const auto& [image, k] : std::vector<std::pair<Shape, int>>{
+           {{1, 1, 2, 2}, 2}, {{12, 16, 32, 32}, 2}, {{5, 3, 12, 12}, 2}, {{3, 7, 9, 6}, 3},
+           {{2, 5, 6, 6}, 1}, {{2, 1, 6, 12}, 6}}) {
+    const std::int64_t n = image[0], c = image[1], oh = image[2] / k, ow = image[3] / k;
+    const Shape windows{n, c, oh, k, ow, k};
+    const Shape sums{n, c, oh, 1, ow, 1};
+    const Tensor x = values(image, rng);
+    const std::string what = shape_to_string(image) + " k" + std::to_string(k);
+    expect_matches(reduce_sum_to(x.reshaped(windows), sums).reshaped({n, c, oh, ow}),
+                   [&] { return sum_pool2d(x, k); }, "sum_pool2d " + what);
+    const Tensor g = values({n, c, oh, ow}, rng);
+    expect_matches(broadcast_to(g.reshaped(sums), windows).reshaped(image),
+                   [&] { return spread_pool2d(g, k); }, "spread_pool2d " + what);
   }
 }
 

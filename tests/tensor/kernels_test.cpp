@@ -76,18 +76,45 @@ TEST(KernelsTest, MatmulKnownResult) {
   EXPECT_FLOAT_EQ(c.at(3), 154.0f);
 }
 
+TEST(KernelsTest, MatmulTransposedOperandsKnownResult) {
+  Tensor a({2, 3}, {1, 2, 3, 4, 5, 6});
+  Tensor bt({2, 3}, {7, 9, 11, 8, 10, 12});  // b of MatmulKnownResult, transposed
+  const auto nt = k::matmul_nt(a, bt);
+  EXPECT_EQ(nt.shape(), (Shape{2, 2}));
+  EXPECT_FLOAT_EQ(nt.at(0), 58.0f);
+  EXPECT_FLOAT_EQ(nt.at(3), 154.0f);
+  Tensor at({3, 2}, {1, 4, 2, 5, 3, 6});  // a, transposed
+  Tensor b({3, 2}, {7, 8, 9, 10, 11, 12});
+  const auto tn = k::matmul_tn(at, b);
+  EXPECT_EQ(tn.shape(), (Shape{2, 2}));
+  EXPECT_FLOAT_EQ(tn.at(1), 64.0f);
+  EXPECT_FLOAT_EQ(tn.at(2), 139.0f);
+  // An empty inner dimension is an empty sum: +0 everywhere.
+  const auto empty = k::matmul(Tensor({2, 0}), Tensor({0, 3}));
+  EXPECT_EQ(empty.shape(), (Shape{2, 3}));
+  for (std::int64_t i = 0; i < empty.numel(); ++i) EXPECT_EQ(empty.at(i), 0.0f);
+}
+
 TEST(KernelsTest, MatmulRejectsBadShapes) {
   EXPECT_THROW(k::matmul(Tensor({2, 3}), Tensor({2, 3})), std::invalid_argument);
   EXPECT_THROW(k::matmul(Tensor({6}), Tensor({6})), std::invalid_argument);
+  EXPECT_THROW(k::matmul_nt(Tensor({2, 3}), Tensor({3, 2})), std::invalid_argument);
+  EXPECT_THROW(k::matmul_tn(Tensor({2, 3}), Tensor({3, 2})), std::invalid_argument);
 }
 
-TEST(KernelsTest, Transpose) {
-  Tensor a({2, 3}, {1, 2, 3, 4, 5, 6});
-  const auto t = k::transpose2d(a);
-  EXPECT_EQ(t.shape(), (Shape{3, 2}));
-  EXPECT_FLOAT_EQ(t.at(0), 1.0f);
-  EXPECT_FLOAT_EQ(t.at(1), 4.0f);
-  EXPECT_FLOAT_EQ(t.at(4), 3.0f);
+TEST(KernelsTest, PoolPairKnownValues) {
+  Tensor x({1, 1, 2, 4}, {1, 2, 3, 4, 5, 6, 7, 8});
+  const auto s = k::sum_pool2d(x, 2);
+  EXPECT_EQ(s.shape(), (Shape{1, 1, 1, 2}));
+  EXPECT_FLOAT_EQ(s.at(0), 14.0f);
+  EXPECT_FLOAT_EQ(s.at(1), 22.0f);
+  const auto g = k::spread_pool2d(s, 2);
+  EXPECT_EQ(g.shape(), x.shape());
+  const float want[] = {14, 14, 22, 22, 14, 14, 22, 22};
+  for (std::int64_t i = 0; i < g.numel(); ++i) EXPECT_FLOAT_EQ(g.at(i), want[i]);
+  EXPECT_THROW(k::sum_pool2d(Tensor({1, 1, 3, 4}), 2), std::invalid_argument);
+  EXPECT_THROW(k::sum_pool2d(Tensor({4, 4}), 2), std::invalid_argument);
+  EXPECT_THROW(k::spread_pool2d(Tensor({4, 4}), 2), std::invalid_argument);
 }
 
 TEST(KernelsTest, PermuteRoundTrip) {
@@ -103,8 +130,9 @@ TEST(KernelsTest, PermuteValuesCorrect) {
   Tensor a({2, 3}, {0, 1, 2, 3, 4, 5});
   const auto p = k::permute(a, {1, 0});
   // Equivalent to transpose.
-  const auto t = k::transpose2d(a);
-  for (std::int64_t i = 0; i < p.numel(); ++i) EXPECT_FLOAT_EQ(p.at(i), t.at(i));
+  EXPECT_EQ(p.shape(), (Shape{3, 2}));
+  const float want[] = {0, 3, 1, 4, 2, 5};
+  for (std::int64_t i = 0; i < p.numel(); ++i) EXPECT_FLOAT_EQ(p.at(i), want[i]);
 }
 
 TEST(KernelsTest, PermuteRejectsNonPermutation) {

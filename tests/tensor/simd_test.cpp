@@ -8,6 +8,7 @@
 #include <gtest/gtest.h>
 
 #include <bit>
+#include <cmath>
 #include <cstdint>
 #include <cstring>
 #include <limits>
@@ -152,26 +153,6 @@ TEST(SimdParity, BinaryRunsMatchBitwise) {
   }
 }
 
-TEST(SimdParity, Transpose8x8MatchesBitwise) {
-  if (!avx2_usable()) GTEST_SKIP() << "AVX2 not available";
-  const Kernels& s = quickdrop::simd::scalar_kernels();
-  const Kernels& v = quickdrop::simd::avx2_kernels();
-  // Strided source and destination, NaN payloads and signed zeros included:
-  // the tile must move bits, not values.
-  const std::int64_t lds = 11, ldd = 13;
-  const auto src = edgy_buffer(8 * lds, 0.5f);
-  std::vector<float> ds(8 * ldd, 7.0f), dv(8 * ldd, 7.0f);
-  s.transpose8x8(ds.data(), ldd, src.data(), lds);
-  v.transpose8x8(dv.data(), ldd, src.data(), lds);
-  expect_bitwise_equal(ds, dv, "transpose8x8");
-  for (std::int64_t r = 0; r < 8; ++r) {
-    for (std::int64_t c = 0; c < 8; ++c) {
-      ASSERT_EQ(std::bit_cast<std::uint32_t>(ds[static_cast<std::size_t>(c * ldd + r)]),
-                std::bit_cast<std::uint32_t>(src[static_cast<std::size_t>(r * lds + c)]));
-    }
-  }
-}
-
 TEST(SimdParity, ReluAndMaskMatchBitwise) {
   if (!avx2_usable()) GTEST_SKIP() << "AVX2 not available";
   const Kernels& s = quickdrop::simd::scalar_kernels();
@@ -245,16 +226,66 @@ TEST(SimdParity, MatmulTileMatchesBitwise) {
   if (!avx2_usable()) GTEST_SKIP() << "AVX2 not available";
   const Kernels& s = quickdrop::simd::scalar_kernels();
   const Kernels& v = quickdrop::simd::avx2_kernels();
-  for (const std::int64_t n : kSizes) {
-    const auto b0 = synth_buffer(n, 0.1f), b1 = synth_buffer(n, 0.2f);
-    const auto b2 = synth_buffer(n, 0.3f), b3 = synth_buffer(n, 0.4f);
-    auto cs = synth_buffer(n, -1.0f);
-    auto cv = cs;
-    s.matmul_tile4(cs.data(), 0.17f, -0.61f, 1.13f, 0.029f, b0.data(), b1.data(), b2.data(),
-                   b3.data(), n);
-    v.matmul_tile4(cv.data(), 0.17f, -0.61f, 1.13f, 0.029f, b0.data(), b1.data(), b2.data(),
-                   b3.data(), n);
-    expect_bitwise_equal(cs, cv, "matmul_tile4");
+  // The 4x8 GEMM tile over packed B panels: k-group and tail lengths; A read
+  // as a packed [kc][4] panel, as four rows and as four columns; one tile
+  // and three side by side; a tile embedded in a wider output (ldc > 8);
+  // both accumulator starts; and the IEEE edge cases spread densely (every
+  // 3rd value) and sparsely (every 31st), so short and long chains both
+  // carry finite and non-finite lanes. Which operand's NaN an add or
+  // multiply of two NaNs returns is open in IEEE 754, and the compiler may
+  // swap the operands of either (it treats both as commutative, intrinsics
+  // included). Every NaN here is therefore the one 0 * inf produces on x86,
+  // sign bit set, so any NaN a chain meets has the same bits.
+  const auto default_nan = [](std::vector<float> v) {
+    for (float& x : v) {
+      if (std::isnan(x)) x = -std::numeric_limits<float>::quiet_NaN();
+    }
+    return v;
+  };
+  struct Layout {
+    std::int64_t a_row, a_k;
+  };
+  for (const std::int64_t kc : {0, 1, 3, 4, 5, 8, 31, 129, 256}) {
+    for (const Layout l : {Layout{1, 4}, Layout{kc + 3, 1}, Layout{1, 5}}) {
+      const std::int64_t a_len = 4 * (kc + 3) + 5 * kc, b_len = 3 * 8 * kc;
+      for (const std::int64_t every : {3, 31}) {
+        std::vector<float> a = synth_buffer(a_len, 0.25f), b = synth_buffer(b_len, -0.5f);
+        const auto ea = default_nan(edgy_buffer(a_len, 0.0f));
+        const auto eb = default_nan(edgy_buffer(b_len + 1, 0.0f));
+        for (std::size_t i = 0; i < a.size(); i += static_cast<std::size_t>(every)) a[i] = ea[i];
+        for (std::size_t i = 0; i < b.size(); i += static_cast<std::size_t>(every)) {
+          b[i] = eb[i + 1];
+        }
+        for (const std::int64_t strips : {1, 3}) {
+          for (const std::int64_t ldc : {8 * strips, 8 * strips + 3}) {
+            for (const bool load : {false, true}) {
+              auto cs = default_nan(edgy_buffer(4 * ldc, -1.0f));
+              auto cv = cs;
+              s.gemm4x8(cs.data(), ldc, a.data(), l.a_row, l.a_k, b.data(), kc, strips, load);
+              v.gemm4x8(cv.data(), ldc, a.data(), l.a_row, l.a_k, b.data(), kc, strips, load);
+              expect_bitwise_equal(cs, cv, "gemm4x8");
+            }
+          }
+        }
+      }
+    }
+  }
+  // The chain itself, on one element: +0, then ((a0*b0 + a1*b1) + a2*b2) +
+  // a3*b3 per group of four, then the tail one product at a time.
+  const float av[] = {1.0e8f, 1.0f, -1.0e8f, 1.0f, 3.0f};
+  const float bv[] = {1.0f, 1.0f, 1.0f, 1.0f, 0.5f};
+  std::vector<float> a(4 * 5, 0.0f), b(8 * 5, 0.0f);
+  for (int p = 0; p < 5; ++p) {
+    a[static_cast<std::size_t>(p * 4)] = av[p];
+    a[static_cast<std::size_t>(p * 4 + 1)] = -1.0f;  // row 1 times column 1's zeros: all -0
+    b[static_cast<std::size_t>(p * 8)] = bv[p];
+  }
+  const float want = 0.0f + (((1.0e8f + 1.0f) + -1.0e8f) + 1.0f) + 3.0f * 0.5f;
+  for (const Kernels* k : {&s, &v}) {
+    std::vector<float> c(32, 9.0f);
+    k->gemm4x8(c.data(), 8, a.data(), 1, 4, b.data(), 5, 1, false);
+    EXPECT_EQ(c[0], want) << k->name;
+    EXPECT_EQ(std::bit_cast<std::uint32_t>(c[9]), 0u) << k->name << ": starts from +0";
   }
 }
 
