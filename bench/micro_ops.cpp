@@ -227,6 +227,15 @@ void BM_ConvNetForward(benchmark::State& state) {
 }
 BENCHMARK(BM_ConvNetForward);
 
+// The same forward as an evaluation runs it: no graph is recorded.
+void BM_ConvNetPredict(benchmark::State& state) {
+  qd::Rng rng(1);
+  auto net = qd::nn::make_convnet(bench_net(), rng);
+  const auto x = qd::Tensor::randn({32, 3, 12, 12}, rng);
+  for (auto _ : state) benchmark::DoNotOptimize(net->predict(x));
+}
+BENCHMARK(BM_ConvNetPredict);
+
 void BM_SgdStep(benchmark::State& state) {
   qd::Rng rng(1);
   auto net = qd::nn::make_convnet(bench_net(), rng);

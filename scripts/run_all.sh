@@ -29,12 +29,13 @@ run_each() {
 # the tensor kernels and the autograd graph (uninitialized kernel outputs
 # and inline graph-node parents are exactly what ASan must see), plus the
 # crash-safe store (engine fuzz + kill-point sweep — the recovery scan
-# parses attacker-controlled bytes, exactly where UB would hide) with
+# parses attacker-controlled bytes, exactly where UB would hide) and the
+# metrics and attack suites, whose evaluation forwards record no graph, with
 # ASan/UBSan and run the binaries directly. UBSan reports abort the binary,
 # so any report fails the pass.
 SAN_BUILD="${BUILD}-asan"
 SAN_TESTS=(fl_test nn_test core_test util_test tensor_test autograd_test store_test
-  store_crash_sweep_test lint_test lint_driver_test net_test)
+  store_crash_sweep_test lint_test lint_driver_test net_test metrics_test attack_test)
 {
   cmake -B "$SAN_BUILD" -S . -DQUICKDROP_SANITIZE="address;undefined" \
     -DCMAKE_CXX_FLAGS="-fno-sanitize-recover=undefined" &&

@@ -64,7 +64,7 @@ double backdoor_success_rate(nn::Module& model, const data::Dataset& clean_sampl
     std::copy_n(row.data().data(), static_cast<std::size_t>(stride),
                 images.data().data() + static_cast<std::int64_t>(i) * stride);
   }
-  const auto preds = kernels::argmax_rows(model.forward_tensor(images).value());
+  const auto preds = kernels::argmax_rows(model.predict(images));
   int hits = 0;
   for (const int p : preds) hits += p == target_label;
   return static_cast<double>(hits) / static_cast<double>(preds.size());

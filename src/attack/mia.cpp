@@ -81,7 +81,7 @@ class AttackModel {
   /// Fraction of rows predicted "member" (class 1).
   [[nodiscard]] double member_rate(const Tensor& features) {
     if (features.dim(0) == 0) return 0.0;
-    const auto preds = kernels::argmax_rows(net_->forward_tensor(features).value());
+    const auto preds = kernels::argmax_rows(net_->predict(features));
     int members = 0;
     for (const int p : preds) members += p == 1;
     return static_cast<double>(members) / static_cast<double>(preds.size());

@@ -1,11 +1,22 @@
 #include "autograd/var.h"
 
+#include <optional>
 #include <stdexcept>
 #include <unordered_map>
 
 #include "autograd/ops.h"
 
 namespace quickdrop::ag {
+
+namespace {
+thread_local bool tls_no_graph = false;
+}  // namespace
+
+NoGraphScope::NoGraphScope() : outer_(tls_no_graph) { tls_no_graph = true; }
+
+NoGraphScope::~NoGraphScope() { tls_no_graph = outer_; }
+
+bool NoGraphScope::active() { return tls_no_graph; }
 
 Var Var::leaf(Tensor value) {
   return Var(std::make_shared<detail::Node>(std::move(value), "leaf", true));
@@ -32,6 +43,7 @@ Var Var::detach() const { return constant(value()); }
 Var Var::make_op(const char* op, Tensor value, std::initializer_list<Var> parents, VjpFn vjp) {
   if (parents.size() > 2) throw std::logic_error("Var::make_op: more than two parents");
   auto n = std::make_shared<detail::Node>(std::move(value), op, false);
+  if (tls_no_graph) return Var(std::move(n));
   for (const auto& p : parents) {
     if (!p.defined()) throw std::logic_error("Var::make_op: null parent");
     n->requires_grad = n->requires_grad || p.requires_grad();
@@ -51,6 +63,7 @@ struct Entry {
   /// Topological position of each parent, -1 where it takes no gradient.
   std::int32_t parent_pos[2];
   bool needed;  // an input, or a node with a needed parent
+  bool input;   // its gradient is returned, so the sweep keeps it
 };
 
 /// Per-node lookup state of one grad() call.
@@ -93,7 +106,7 @@ std::vector<Entry> topo_order(Node* root, std::unordered_map<Node*, Mark>& marks
     const auto pos = static_cast<std::int32_t>(order.size());
     Mark& mark = marks[frame.node];
     mark.pos = pos;
-    Entry e{frame.node, {frame.parent_pos[0], frame.parent_pos[1]}, mark.input};
+    Entry e{frame.node, {frame.parent_pos[0], frame.parent_pos[1]}, mark.input, mark.input};
     for (const std::int32_t p : e.parent_pos) {
       e.needed = e.needed || (p >= 0 && order[static_cast<std::size_t>(p)].needed);
     }
@@ -116,6 +129,9 @@ std::vector<Var> grad(const Var& output, std::span<const Var> inputs, const Grad
   for (const auto& input : inputs) {
     if (!input.defined()) throw std::invalid_argument("grad: null input");
   }
+  if (options.create_graph && NoGraphScope::active()) {
+    throw std::logic_error("grad: create_graph inside a NoGraphScope");
+  }
 
   // Lookup-only table. Accumulation is driven by the deterministic
   // topological sweep below, never by iterating this map — pointer-keyed hash
@@ -135,19 +151,24 @@ std::vector<Var> grad(const Var& output, std::span<const Var> inputs, const Grad
     // Children appear after their parents; sweep in reverse. A node that is
     // not needed leads to no input, so its VJP is skipped; a needed node's
     // contributors are all needed, so each needed gradient sums the same
-    // terms in the same order as a full backward would.
+    // terms in the same order as a full backward would. A first-order sweep
+    // records no graph: the VJPs run the same kernels on the same values,
+    // and every gradient they build is a constant.
+    std::optional<NoGraphScope> no_graph;
+    if (!options.create_graph) no_graph.emplace();
     ParentGrads parent_grads;
     for (std::size_t pos = order.size(); pos-- > 0;) {
       const Entry& e = order[pos];
-      if (!e.needed || !grads[pos].defined() || !e.node->vjp) continue;
+      // Every contribution to this slot is in: the sweep reads it once, here,
+      // and drops it unless it is returned.
+      const Var gy = e.input ? grads[pos] : std::move(grads[pos]);
+      if (!e.needed || !gy.defined() || !e.node->vjp) continue;
       unsigned need = 0;
       for (unsigned i = 0; i < 2; ++i) {
         const std::int32_t p = e.parent_pos[i];
         if (p >= 0 && order[static_cast<std::size_t>(p)].needed) need |= 1u << i;
       }
       if (need == 0) continue;
-      Var gy = grads[pos];
-      if (!options.create_graph) gy = gy.detach();
       parent_grads = {};
       e.node->vjp(*e.node, gy, need, parent_grads);
       for (unsigned i = 0; i < 2; ++i) {
@@ -168,11 +189,8 @@ std::vector<Var> grad(const Var& output, std::span<const Var> inputs, const Grad
   for (const auto& input : inputs) {
     const std::int32_t pos = marks.find(input.node().get())->second.pos;
     const Var* g = pos >= 0 ? &grads[static_cast<std::size_t>(pos)] : nullptr;
-    if (g == nullptr || !g->defined()) {
-      result.push_back(Var::constant(Tensor::zeros(input.shape())));
-    } else {
-      result.push_back(options.create_graph ? *g : g->detach());
-    }
+    result.push_back(g != nullptr && g->defined() ? *g
+                                                  : Var::constant(Tensor::zeros(input.shape())));
   }
   return result;
 }

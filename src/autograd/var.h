@@ -7,6 +7,10 @@
 // arbitrary-order differentiation (PyTorch's `create_graph=True` semantics).
 // QuickDrop's gradient-matching distillation relies on this to differentiate
 // a distance between parameter gradients with respect to synthetic pixels.
+//
+// Where nothing will be differentiated (a first-order backward sweep, an
+// evaluation forward), a NoGraphScope makes every op a constant node, so the
+// intermediates die as soon as their last handle does.
 #pragma once
 
 #include <array>
@@ -68,7 +72,8 @@ class Var {
   [[nodiscard]] Var detach() const;
 
   /// Internal: constructs an op node with at most two parents. Used by
-  /// ops.cpp.
+  /// ops.cpp. Under a NoGraphScope it returns a constant node instead: no
+  /// parents and no VJP closure.
   static Var make_op(const char* op, Tensor value, std::initializer_list<Var> parents, VjpFn vjp);
 
   [[nodiscard]] const std::shared_ptr<detail::Node>& node() const { return node_; }
@@ -94,11 +99,27 @@ struct Node {
 };
 }  // namespace detail
 
+/// While one is alive on this thread, ops record no graph (see
+/// Var::make_op). Scopes nest; each restores the state it found.
+class NoGraphScope {
+ public:
+  NoGraphScope();
+  ~NoGraphScope();
+  NoGraphScope(const NoGraphScope&) = delete;
+  NoGraphScope& operator=(const NoGraphScope&) = delete;
+
+  /// Whether a scope is alive on this thread.
+  [[nodiscard]] static bool active();
+
+ private:
+  bool outer_;
+};
+
 /// Options for grad().
 struct GradOptions {
   /// When true, the returned gradients are themselves differentiable graph
-  /// nodes (needed for higher-order derivatives). When false, gradient
-  /// chains are cut eagerly to keep memory bounded.
+  /// nodes (needed for higher-order derivatives). When false, the sweep runs
+  /// under a NoGraphScope and returns constants.
   bool create_graph = false;
 };
 
@@ -106,7 +127,9 @@ struct GradOptions {
 /// Inputs that do not influence the output receive zero gradients of their
 /// own shape. Throws std::invalid_argument if output is not a single element.
 /// The backward visits only nodes that depend on an input, and asks each VJP
-/// only for the parent terms that lead to one.
+/// only for the parent terms that lead to one; each non-input gradient is
+/// dropped once its VJP has run. Throws std::logic_error for create_graph
+/// under a NoGraphScope, which could record no graph.
 std::vector<Var> grad(const Var& output, std::span<const Var> inputs,
                       const GradOptions& options = {});
 

@@ -42,9 +42,8 @@ ConvLocation locate_last_conv(nn::Sequential& net) {
 /// Mean activation per channel of layer `upto` (inclusive) for a batch.
 std::vector<double> mean_channel_activation(nn::Sequential& net, std::size_t upto,
                                             const Tensor& images) {
-  ag::Var x = ag::Var::constant(images);
-  for (std::size_t i = 0; i <= upto; ++i) x = net.layer(i).forward(x);
-  const Tensor& act = x.value();  // [N, K, H, W]
+  Tensor act = images;
+  for (std::size_t i = 0; i <= upto; ++i) act = net.layer(i).predict(act);  // [N, K, H, W]
   const std::int64_t n = act.dim(0), k = act.dim(1), hw = act.dim(2) * act.dim(3);
   std::vector<double> mean(static_cast<std::size_t>(k), 0.0);
   for (std::int64_t b = 0; b < n; ++b) {

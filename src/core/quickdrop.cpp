@@ -147,7 +147,7 @@ double QuickDrop::forget_accuracy(const data::Dataset& dataset) {
   std::vector<int> rows(static_cast<std::size_t>(dataset.size()));
   for (int i = 0; i < dataset.size(); ++i) rows[static_cast<std::size_t>(i)] = i;
   auto [images, labels] = dataset.batch(rows);
-  const Tensor logits = scratch_model_->forward_tensor(images).value();
+  const Tensor logits = scratch_model_->predict(images);
   const auto preds = kernels::argmax_rows(logits);
   int correct = 0;
   for (std::size_t i = 0; i < labels.size(); ++i) correct += preds[i] == labels[i];

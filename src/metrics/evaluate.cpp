@@ -17,7 +17,7 @@ void for_each_batch(nn::Module& model, const data::Dataset& dataset,
     const std::vector<int> batch_rows(rows.begin() + static_cast<std::ptrdiff_t>(start),
                                       rows.begin() + static_cast<std::ptrdiff_t>(end));
     auto [images, labels] = dataset.batch(batch_rows);
-    const Tensor logits = model.forward_tensor(images).value();
+    const Tensor logits = model.predict(images);
     fn(logits, labels, batch_rows);
   }
 }

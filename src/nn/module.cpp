@@ -14,6 +14,11 @@ std::int64_t Module::num_parameters() {
   return n;
 }
 
+Tensor Module::predict(const Tensor& input) {
+  const ag::NoGraphScope no_graph;
+  return forward_tensor(input).value();
+}
+
 Sequential& Sequential::add(std::unique_ptr<Module> layer) {
   layers_.push_back(std::move(layer));
   return *this;

@@ -34,6 +34,10 @@ class Module {
 
   /// Convenience: forward on a raw tensor treated as constant input.
   ag::Var forward_tensor(const Tensor& input) { return forward(ag::Var::constant(input)); }
+
+  /// Read-only forward (evaluation): runs forward_tensor under an
+  /// ag::NoGraphScope, so no graph is built behind the result.
+  [[nodiscard]] Tensor predict(const Tensor& input);
 };
 
 /// A chain of modules applied in order. Owns its children.

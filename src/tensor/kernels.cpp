@@ -241,9 +241,7 @@ Tensor sub(const Tensor& a, const Tensor& b) { return binary_op(a, b, simd::kSub
 Tensor mul(const Tensor& a, const Tensor& b) { return binary_op(a, b, simd::kMul, "mul"); }
 Tensor div(const Tensor& a, const Tensor& b) { return binary_op(a, b, simd::kDiv, "div"); }
 
-Tensor neg(const Tensor& a) {
-  return unary_op(a, [](float x) { return -x; });
-}
+Tensor neg(const Tensor& a) { return map_runs(a, simd::active().neg); }
 Tensor exp(const Tensor& a) {
   return unary_op(a, [](float x) { return std::exp(x); });
 }

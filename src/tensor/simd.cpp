@@ -1,6 +1,8 @@
 #include "tensor/simd.h"
 
 #include <atomic>
+#include <bit>
+#include <cstdint>
 #include <cstdlib>
 #include <cstring>
 
@@ -93,6 +95,12 @@ void relu_scalar(float* o, const float* a, std::int64_t n) {
 
 void relu_mask_scalar(float* o, const float* a, std::int64_t n) {
   for (std::int64_t i = 0; i < n; ++i) o[i] = a[i] > 0.0f ? 1.0f : 0.0f;
+}
+
+void neg_scalar(float* o, const float* a, std::int64_t n) {
+  for (std::int64_t i = 0; i < n; ++i) {
+    o[i] = std::bit_cast<float>(std::bit_cast<std::uint32_t>(a[i]) ^ 0x80000000u);
+  }
 }
 
 double sum_squares_scalar(const float* x, std::int64_t n) {
@@ -222,6 +230,7 @@ constexpr Kernels kScalarKernels = {
                   binary_ls_scalar<DivOp>},
     .relu = relu_scalar,
     .relu_mask = relu_mask_scalar,
+    .neg = neg_scalar,
 };
 
 // ---- Dispatch ------------------------------------------------------------

@@ -9,7 +9,7 @@
 //
 // Bitwise-determinism contract (DESIGN.md §13): both paths must produce
 // bit-identical results for every kernel. Elementwise kernels (axpy, scale,
-// the binary and relu runs, the weighted-average fold, the gemm4x8 tile)
+// the binary, relu and neg runs, the weighted-average fold, the gemm4x8 tile)
 // keep each element's operation chain unchanged — vectorization only batches
 // independent chains — so parity is structural. The reductions (sum_squares,
 // sum_squared_diff) are lane-structured: four independent double
@@ -81,6 +81,9 @@ struct Kernels {
   void (*relu)(float* o, const float* a, std::int64_t n);
   /// o[i] = a[i] > 0 ? 1 : 0 — the ReLU mask.
   void (*relu_mask)(float* o, const float* a, std::int64_t n);
+  /// o[i] = -a[i] as an exact sign-bit flip: zeros, infinities, subnormals
+  /// and NaN payloads keep every other bit.
+  void (*neg)(float* o, const float* a, std::int64_t n);
 };
 
 /// The hand-tiled scalar oracle. Always available.

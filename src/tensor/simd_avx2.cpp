@@ -11,6 +11,9 @@
 
 #include <immintrin.h>
 
+#include <bit>
+#include <cstdint>
+
 namespace quickdrop::simd {
 namespace {
 
@@ -112,6 +115,17 @@ void relu_mask_avx2(float* o, const float* a, std::int64_t n) {
     _mm256_storeu_ps(o + i, _mm256_and_ps(gt, one));
   }
   for (; i < n; ++i) o[i] = a[i] > 0.0f ? 1.0f : 0.0f;
+}
+
+void neg_avx2(float* o, const float* a, std::int64_t n) {
+  // -0.0f is the sign bit alone; xor flips it and nothing else.
+  const __m256 sign = _mm256_set1_ps(-0.0f);
+  std::int64_t i = 0;
+  for (; i + 8 <= n; i += 8) {
+    // qdlint: shared-write(caller passes a disjoint o[0,n) slice; this tile writes only it)
+    _mm256_storeu_ps(o + i, _mm256_xor_ps(_mm256_loadu_ps(a + i), sign));
+  }
+  for (; i < n; ++i) o[i] = std::bit_cast<float>(std::bit_cast<std::uint32_t>(a[i]) ^ 0x80000000u);
 }
 
 /// Reduces a 4x64-bit accumulator to ((l0 + l2) + (l1 + l3)) — the lane fold
@@ -275,6 +289,7 @@ constexpr Kernels kAvx2Kernels = {
                   binary_ls_avx2<DivOp>},
     .relu = relu_avx2,
     .relu_mask = relu_mask_avx2,
+    .neg = neg_avx2,
 };
 
 }  // namespace

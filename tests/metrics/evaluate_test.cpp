@@ -1,8 +1,11 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
 
 #include "metrics/evaluate.h"
+#include "nn/convnet.h"
+#include "tensor/kernels.h"
 
 namespace quickdrop::metrics {
 namespace {
@@ -93,6 +96,31 @@ TEST(EvaluateTest, BatchingDoesNotChangeResult) {
   OracleModel model;
   const auto d = encoded_dataset({0, 1, 2, 0, 1}, {0, 1, 2, 1, 1});
   EXPECT_DOUBLE_EQ(accuracy(model, d, 2), accuracy(model, d, 128));
+}
+
+TEST(EvaluateTest, ConvNetAccuracyMatchesGraphForward) {
+  // A trained-shape model through the graph-free evaluation forward: the
+  // accuracy must be the one the recorded forward's logits give, batch by
+  // batch.
+  Rng rng(9);
+  nn::ConvNetConfig cfg;
+  cfg.in_channels = 1;
+  cfg.image_size = 8;
+  cfg.num_classes = 3;
+  cfg.width = 8;
+  auto net = nn::make_convnet(cfg, rng);
+  std::vector<int> labels(11);
+  for (std::size_t i = 0; i < labels.size(); ++i) labels[i] = static_cast<int>(i % 3);
+  const data::Dataset d(Tensor::randn({11, 1, 8, 8}, rng), labels, 3);
+  int correct = 0;
+  for (int start = 0; start < d.size(); start += 4) {
+    std::vector<int> rows;
+    for (int i = start; i < std::min(d.size(), start + 4); ++i) rows.push_back(i);
+    auto [images, batch_labels] = d.batch(rows);
+    const auto preds = kernels::argmax_rows(net->forward_tensor(images).value());
+    for (std::size_t i = 0; i < rows.size(); ++i) correct += preds[i] == batch_labels[i];
+  }
+  EXPECT_DOUBLE_EQ(accuracy(*net, d, 4), static_cast<double>(correct) / 11.0);
 }
 
 }  // namespace

@@ -1,5 +1,7 @@
 #include <gtest/gtest.h>
 
+#include <cstring>
+
 #include "nn/convnet.h"
 
 namespace quickdrop::nn {
@@ -68,6 +70,40 @@ TEST(MlpTest, ShapeAndParams) {
   auto mlp = make_mlp(3, 8, 2, rng);
   EXPECT_EQ(mlp->forward_tensor(Tensor::zeros({5, 3})).shape(), (Shape{5, 2}));
   EXPECT_EQ(mlp->num_parameters(), 3 * 8 + 8 + 8 * 2 + 2);
+}
+
+bool bitwise_equal(const Tensor& a, const Tensor& b) {
+  return a.shape() == b.shape() &&
+         std::memcmp(a.data().data(), b.data().data(),
+                     static_cast<std::size_t>(a.numel()) * sizeof(float)) == 0;
+}
+
+/// predict() is the graph-free forward: the logits of forward_tensor, bit
+/// for bit, with no graph behind them.
+void expect_predict_matches_forward(Module& model, const Tensor& x) {
+  const Tensor with_graph = model.forward_tensor(x).value();
+  EXPECT_TRUE(bitwise_equal(model.predict(x), with_graph));
+  const ag::NoGraphScope no_graph;  // the scope predict runs its forward under
+  const ag::Var out = model.forward_tensor(x);
+  EXPECT_EQ(out.node()->arity, 0);
+  EXPECT_FALSE(out.requires_grad());
+}
+
+TEST(PredictTest, ConvNetLogitsMatchForwardBitwise) {
+  Rng rng(4);
+  ConvNetConfig cfg;
+  cfg.in_channels = 3;
+  cfg.image_size = 8;
+  cfg.width = 8;
+  cfg.depth = 2;
+  auto net = make_convnet(cfg, rng);
+  expect_predict_matches_forward(*net, Tensor::randn({5, 3, 8, 8}, rng));
+}
+
+TEST(PredictTest, MlpLogitsMatchForwardBitwise) {
+  Rng rng(6);
+  auto mlp = make_mlp(3, 8, 2, rng);
+  expect_predict_matches_forward(*mlp, Tensor::randn({7, 3}, rng));
 }
 
 }  // namespace

@@ -183,6 +183,37 @@ TEST(SimdParity, ReluAndMaskMatchBitwise) {
   }
 }
 
+TEST(SimdParity, NegFlipsOnlyTheSignBit) {
+  // Bit patterns: ±0, ±inf, quiet and signaling NaNs with payloads, the
+  // smallest and largest subnormals, and ordinary values of both signs.
+  const std::uint32_t specials[] = {0x00000000u, 0x80000000u, 0x7f800000u, 0xff800000u,
+                                    0x7fc00000u, 0xffc00001u, 0x7fa12345u, 0xff800001u,
+                                    0x00000001u, 0x807fffffu, 0x3f800000u, 0xc0490fdbu};
+  for (const std::int64_t n : kSizes) {
+    std::vector<std::uint32_t> bits(static_cast<std::size_t>(n));
+    for (std::size_t i = 0; i < bits.size(); ++i) {
+      bits[i] = i % 2 == 0 ? specials[(i / 2) % std::size(specials)]
+                           : std::bit_cast<std::uint32_t>(synth_value(static_cast<std::int64_t>(i),
+                                                                      0.5f));
+    }
+    std::vector<float> a(bits.size()), want(bits.size());
+    for (std::size_t i = 0; i < bits.size(); ++i) {
+      a[i] = std::bit_cast<float>(bits[i]);
+      want[i] = std::bit_cast<float>(bits[i] ^ 0x80000000u);
+    }
+    std::vector<const Kernels*> tables = {&quickdrop::simd::scalar_kernels()};
+    if (avx2_usable()) tables.push_back(&quickdrop::simd::avx2_kernels());
+    for (const Kernels* k : tables) {
+      std::vector<float> out(bits.size());
+      k->neg(out.data(), a.data(), n);
+      expect_bitwise_equal(out, want, k->name);
+      auto in_place = a;  // o == a
+      k->neg(in_place.data(), in_place.data(), n);
+      expect_bitwise_equal(in_place, want, k->name);
+    }
+  }
+}
+
 TEST(SimdParity, ReductionsMatchBitwise) {
   if (!avx2_usable()) GTEST_SKIP() << "AVX2 not available";
   const Kernels& s = quickdrop::simd::scalar_kernels();
