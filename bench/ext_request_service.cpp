@@ -1,10 +1,11 @@
 // Extension experiment: the unlearning request service under load.
 //
 // Replays one seeded arrival trace of class/client unlearning requests
-// through the service twice — FIFO (one request per unlearn/recover cycle)
-// versus the coalescing batcher (compatible pending requests merged into a
-// single cycle) — and reports per-request SLA metrics: queue wait, p50/p95
-// latency, requests/hour, FL rounds and bytes. All latency numbers are
+// through the coalescing scheduler twice — serially (max_batch 1, one
+// request per unlearn/recover cycle) versus batched (up to --max-batch
+// pending requests merged into a single cycle, default unlimited) — and
+// reports per-request SLA metrics: queue wait, p50/p95 latency,
+// requests/hour, FL rounds and bytes. All latency numbers are
 // *simulated* seconds from the executor's deterministic CostModel, so the
 // emitted BENCH_ext_request_service.json is bitwise identical across runs
 // and thread counts. The headline claim generalises Fig. 4: coalescing k
@@ -24,12 +25,11 @@ namespace qd = quickdrop;
 
 namespace {
 
-qd::serve::ServiceReport run_policy(qd::bench::World& world,
-                                    const std::vector<qd::serve::ServiceRequest>& trace,
-                                    qd::serve::SchedulerPolicy policy, int max_batch,
-                                    const qd::serve::CostModel& cost_model) {
+qd::serve::ServiceReport run_coalesce(qd::bench::World& world,
+                                      const std::vector<qd::serve::ServiceRequest>& trace,
+                                      int max_batch, const qd::serve::CostModel& cost_model) {
   qd::serve::ServiceConfig config;
-  config.policy = policy;
+  config.policy = qd::serve::SchedulerPolicy::kCoalesce;
   config.max_batch = max_batch;
   config.cost_model = cost_model;
   config.evaluator = [&world](const qd::serve::ServiceRequest& request,
@@ -39,7 +39,7 @@ qd::serve::ServiceReport run_policy(qd::bench::World& world,
     metrics.fset_accuracy = world.fset_accuracy(state, core_request);
     metrics.rset_accuracy = world.rset_accuracy(state, core_request);
   };
-  // Each policy replays the same history against the same trained model:
+  // Each run replays the same history against the same trained model:
   // unlearn/recover cycles leave the synthetic stores untouched, so only the
   // forgotten-target bookkeeping must be reset between runs.
   world.fed.quickdrop->reset_forgotten();
@@ -47,8 +47,8 @@ qd::serve::ServiceReport run_policy(qd::bench::World& world,
   return service.run(trace);
 }
 
-void print_report(const qd::serve::ServiceReport& report) {
-  std::printf("policy=%s completed=%zu rejected=%zu cycles=%d fl_rounds=%d\n",
+void print_report(const char* label, const qd::serve::ServiceReport& report) {
+  std::printf("%s: policy=%s completed=%zu rejected=%zu cycles=%d fl_rounds=%d\n", label,
               report.policy.c_str(), report.completed.size(), report.rejected.size(),
               report.cycles, report.total_fl_rounds);
   std::printf("  p50 latency %.1fs | p95 latency %.1fs | %.2f requests/hour | %.1f MB\n",
@@ -88,7 +88,8 @@ int main(int argc, char** argv) {
   flags.check_unused();
   if (config.max_unlearn_rounds == 0) config.max_unlearn_rounds = 6;
 
-  qd::bench::print_banner("Extension: unlearning request service (FIFO vs coalescing)", config);
+  qd::bench::print_banner("Extension: unlearning request service (serial vs coalescing)",
+                          config);
   auto world = qd::bench::build_world(config);
 
   std::vector<qd::serve::ServiceRequest> trace;
@@ -112,20 +113,18 @@ int main(int argc, char** argv) {
     std::printf("trace written to %s\n\n", dump_trace.c_str());
   }
 
-  const auto fifo =
-      run_policy(world, trace, qd::serve::SchedulerPolicy::kFifo, max_batch, cost_model);
-  print_report(fifo);
-  const auto coalesce =
-      run_policy(world, trace, qd::serve::SchedulerPolicy::kCoalesce, max_batch, cost_model);
-  print_report(coalesce);
+  const auto serial = run_coalesce(world, trace, 1, cost_model);
+  print_report("serial", serial);
+  const auto coalesce = run_coalesce(world, trace, max_batch, cost_model);
+  print_report("coalesce", coalesce);
 
-  qd::write_file_atomic(out_path, "{\n\"fifo\": " + fifo.to_json() +
+  qd::write_file_atomic(out_path, "{\n\"serial\": " + serial.to_json() +
                                       ",\n\"coalesce\": " + coalesce.to_json() + "}\n");
   std::printf("metrics written to %s\n", out_path.c_str());
 
   std::printf("\nexpected: coalescing serves clustered requests in fewer cycles (%d vs %d) and\n"
               "fewer FL rounds (%d vs %d), collapsing queue wait for late arrivals while each\n"
               "forgotten target's F-Set accuracy still drops to ~0.\n",
-              coalesce.cycles, fifo.cycles, coalesce.total_fl_rounds, fifo.total_fl_rounds);
+              coalesce.cycles, serial.cycles, coalesce.total_fl_rounds, serial.total_fl_rounds);
   return 0;
 }

@@ -3,7 +3,8 @@
 // accuracy must fall to ~0 and stay there while the remaining classes are
 // restored by recovery.
 //
-// The request loop runs through the serve/ stack's FIFO path: each class
+// The request loop runs through the serve/ stack's serial path (coalesce
+// with max_batch 1, one request per cycle in admission order): each class
 // becomes a ServiceRequest on a widely spaced trace (arrivals far apart, so
 // every scheduler policy degenerates to one request per cycle) and the
 // UnlearningService drives QuickDrop — the same machinery the request
@@ -33,7 +34,7 @@ int main(int argc, char** argv) {
   const std::vector<int> order = {5, 8, 0, 3, 2, 4, 7, 9, 1, 6};
 
   // One request per class, spaced far enough apart that every cycle finishes
-  // before the next arrival — the FIFO service then replays the paper's
+  // before the next arrival — the serial service then replays the paper's
   // strictly sequential history.
   std::vector<qd::serve::ServiceRequest> trace;
   for (int i = 0; i < max_requests && i < static_cast<int>(order.size()); ++i) {
@@ -60,9 +61,10 @@ int main(int argc, char** argv) {
   add_row("(trained)", 0.0, world.fed.global);
 
   // Snapshot per-class accuracy after every cycle via the service evaluator
-  // (each widely spaced request is its own cycle under FIFO).
+  // (each widely spaced request is its own cycle).
   qd::serve::ServiceConfig service_config;
-  service_config.policy = qd::serve::SchedulerPolicy::kFifo;
+  service_config.policy = qd::serve::SchedulerPolicy::kCoalesce;
+  service_config.max_batch = 1;
   service_config.evaluator = [&](const qd::serve::ServiceRequest& request,
                                  const qd::nn::ModelState& state,
                                  qd::serve::RequestMetrics& metrics) {
@@ -81,7 +83,7 @@ int main(int argc, char** argv) {
     all_low = all_low && pc[target] < 0.2;
   }
   std::printf("previously unlearned classes remain unlearned: %s\n", all_low ? "yes" : "NO");
-  std::printf("served %zu requests in %d FIFO cycles (%d FL rounds)\n", report.completed.size(),
+  std::printf("served %zu requests in %d serial cycles (%d FL rounds)\n", report.completed.size(),
               report.cycles, report.total_fl_rounds);
   std::printf("paper (Fig. 4): each unlearning stage zeroes the target class; recovery restores\n"
               "the remaining classes while leaving earlier-unlearned classes at ~0%%.\n");

@@ -65,11 +65,11 @@ echo "tsan pass exit: ${PIPESTATUS[0]}" | tee -a tsan_output.txt
   "$BUILD"/tools/quickdrop_cli train --dataset mnist --clients 4 --rounds 5 --width 8 \
     --out "$SERVE_DIR/model.qdcp" &&
   "$BUILD"/tools/quickdrop_cli serve --checkpoint "$SERVE_DIR/model.qdcp" \
-    --requests 4 --arrival-rate 10 --policy coalesce --sec-per-round 40 \
+    --requests 4 --arrival-rate 10 --policy coalesce --max-batch 0 --sec-per-round 40 \
     --dump-trace "$SERVE_DIR/trace.txt" --json "$SERVE_DIR/replay1.json" \
     --out "$SERVE_DIR/served1.qdcp" --threads 1 &&
   "$BUILD"/tools/quickdrop_cli serve --checkpoint "$SERVE_DIR/model.qdcp" \
-    --trace "$SERVE_DIR/trace.txt" --policy coalesce --sec-per-round 40 \
+    --trace "$SERVE_DIR/trace.txt" --policy coalesce --max-batch 0 --sec-per-round 40 \
     --json "$SERVE_DIR/replay4.json" --out "$SERVE_DIR/served4.qdcp" --threads 4 &&
   cmp "$SERVE_DIR/replay1.json" "$SERVE_DIR/replay4.json" &&
   cmp "$SERVE_DIR/served1.qdcp" "$SERVE_DIR/served4.qdcp" &&

@@ -64,7 +64,11 @@ void distill_distribution_matching(const fl::ModelFactory& factory, SyntheticSto
       const auto batch_rows = data::Dataset::sample_batch_indices(rows, config.real_batch, rng);
       auto [real_images, labels] = client_data.batch(batch_rows);
       (void)labels;
-      const ag::Var real_features = embed(*net, ag::Var::constant(real_images)).detach();
+      // Nothing differentiates the real embedding: build no graph behind it.
+      const ag::Var real_features = [&] {
+        const ag::NoGraphScope no_graph;
+        return embed(*net, ag::Var::constant(real_images));
+      }();
       cost.add_training(static_cast<std::int64_t>(batch_rows.size()));
 
       const ag::Var synth_features = embed(*net, pixel_leaves[ci]);

@@ -33,13 +33,12 @@ std::string json_escape(const std::string& s) {
   return out;
 }
 
-/// A flat JSON object: string, integer and int-array values only — exactly
-/// the shape of an unlearn request body. Anything else is malformed,
-/// including a number that is not an integer inside int's range.
+/// A flat JSON object: string and integer values only — exactly the shape
+/// of an unlearn request body. Anything else is malformed, including an
+/// array and a number that is not an integer inside int's range.
 struct JsonBody {
   std::map<std::string, int> numbers;
   std::map<std::string, std::string> strings;
-  std::map<std::string, std::vector<int>> arrays;
 };
 
 class JsonParser {
@@ -136,23 +135,6 @@ class JsonParser {
     const char c = peek();
     if (c == '"') {
       body.strings[key] = parse_string();
-    } else if (c == '[') {
-      ++pos_;
-      std::vector<int> values;
-      skip_ws();
-      if (peek() == ']') {
-        ++pos_;
-      } else {
-        for (;;) {
-          skip_ws();
-          values.push_back(parse_int());
-          skip_ws();
-          const char sep = take();
-          if (sep == ']') break;
-          if (sep != ',') fail("expected ',' or ']' in array");
-        }
-      }
-      body.arrays[key] = std::move(values);
     } else if (c == '-' || std::isdigit(static_cast<unsigned char>(c))) {
       body.numbers[key] = parse_int();
     } else {
@@ -286,8 +268,6 @@ HttpResponse ApiService::handle_unlearn(const HttpRequest& request, const std::s
     service_request.target = target_it->second;
     const auto prio_it = body.numbers.find("priority");
     if (prio_it != body.numbers.end()) service_request.priority = prio_it->second;
-    const auto rows_it = body.arrays.find("rows");
-    if (rows_it != body.arrays.end()) service_request.rows = rows_it->second;
   } catch (const std::invalid_argument& e) {
     return HttpResponse{.status = 400,
                         .body = "{\"error\": \"" + json_escape(e.what()) + "\"}\n"};

@@ -1,10 +1,11 @@
 // HTTP/JSON API over the unlearning service.
 //
 // Routes:
-//   POST /unlearn      {"kind": "class"|"client"|"sample", "target": N,
-//                       "priority": N?, "rows": [..]?}
+//   POST /unlearn      {"kind": "class"|"client", "target": N, "priority": N?}
 //                      -> 202 {"id": N, "status": "queued"}
 //                       | 400 {"status": "rejected", "reason": "...", ...}
+//                         (admission refused the request)
+//                       | 400 {"error": "..."} (malformed body, unknown kind)
 //   GET  /request/<id> -> {"id": N, "status": "queued"|"completed", ...}
 //   GET  /metrics      -> the full ServiceReport JSON plus a per-tenant
 //                         accounting section

@@ -204,7 +204,6 @@ class TimedConnIo : public Io {
   }
   void write_all(std::span<const std::uint8_t> bytes) override { conn_.write_all(bytes); }
   void finish_write() override { conn_.finish_write(); }
-  bool poll_readable(int timeout_ms) override { return conn_.poll_readable(timeout_ms); }
 
  private:
   TcpConn& conn_;

@@ -1,6 +1,6 @@
 #include "net/io.h"
 
-#include <chrono>
+#include <algorithm>
 #include <condition_variable>
 #include <deque>
 #include <mutex>
@@ -57,13 +57,6 @@ struct Channel {
     }
     readable.notify_all();
   }
-
-  bool poll(int timeout_ms) {
-    std::unique_lock<std::mutex> lock(mutex);
-    const auto ready = [&] { return !bytes.empty() || finished; };
-    if (timeout_ms <= 0) return ready();
-    return readable.wait_for(lock, std::chrono::milliseconds(timeout_ms), ready);
-  }
 };
 
 /// An Io endpoint reading from one channel and writing to the other.
@@ -76,7 +69,6 @@ class LoopbackIo : public Io {
   std::size_t read_some(std::span<std::uint8_t> buf) override { return in_->read(buf); }
   void write_all(std::span<const std::uint8_t> bytes) override { out_->write(bytes); }
   void finish_write() override { out_->finish(); }
-  bool poll_readable(int timeout_ms) override { return in_->poll(timeout_ms); }
 
  private:
   std::shared_ptr<Channel> in_;

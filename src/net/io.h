@@ -53,16 +53,6 @@ class Io {
   /// Signals end-of-stream to the peer: after its buffered bytes drain, the
   /// peer's read_some returns 0. Further write_all calls are an error.
   virtual void finish_write() = 0;
-
-  /// Best-effort readability probe: true when read_some will not block (at
-  /// least one byte buffered, or end-of-stream reached). timeout_ms 0 polls;
-  /// positive values wait up to that long. The conservative default says
-  /// "cannot tell" — callers use this only to drain opportunistically, so
-  /// false never deadlocks, it just skips the optimization.
-  virtual bool poll_readable(int timeout_ms) {
-    (void)timeout_ms;
-    return false;
-  }
 };
 
 /// The two ends of an in-memory duplex pipe: bytes written to `client` are

@@ -29,8 +29,6 @@ class TcpConn : public Io {
   /// Half-close: shutdown(SHUT_WR) so the peer sees end-of-stream while this
   /// end can still read responses.
   void finish_write() override;
-  /// Real poll(POLLIN): recv will not block (data or EOF pending).
-  bool poll_readable(int timeout_ms) override { return wait_readable(timeout_ms); }
 
   /// Blocks until the connection is readable or `timeout_ms` elapses
   /// (EINTR-safe poll). Returns true when readable. timeout_ms < 0 waits

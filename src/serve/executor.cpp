@@ -11,12 +11,7 @@ ExecutionResult Executor::execute(const nn::ModelState& state,
   if (batch.empty()) throw std::invalid_argument("Executor::execute: empty batch");
   std::vector<core::UnlearningRequest> core_batch;
   core_batch.reserve(batch.size());
-  for (const auto& request : batch) {
-    if (!supports(request.kind)) {
-      throw std::invalid_argument("Executor::execute: unsupported kind for " + request.describe());
-    }
-    core_batch.push_back(request.to_core());
-  }
+  for (const auto& request : batch) core_batch.push_back(request.to_core());
 
   ExecutionResult result;
   result.state = quickdrop_->unlearn_batch(state, core_batch, &result.unlearn_stats,

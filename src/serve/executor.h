@@ -1,10 +1,12 @@
 // Executes a scheduled batch through core/QuickDrop's unlearn/recover cycle.
 //
 // The executor is the bridge between the service's request-level world and
-// the coordinator's dataset-level world. It also owns the deterministic cost
-// model: service latency is *simulated* seconds derived from the cycle's
-// cost counters (rounds, sample gradients, fault backoff) — never wall
-// clock — so the metrics JSON is bitwise identical at any --threads count.
+// the coordinator's dataset-level world: each request kind the service
+// admits (class or client) maps one-to-one onto a core::UnlearningRequest.
+// It also owns the deterministic cost model: service latency is *simulated*
+// seconds derived from the cycle's cost counters (rounds, sample gradients,
+// fault backoff) — never wall clock — so the metrics JSON is bitwise
+// identical at any --threads count.
 #pragma once
 
 #include <memory>
@@ -39,12 +41,6 @@ class Executor {
  public:
   Executor(std::shared_ptr<core::QuickDrop> quickdrop, CostModel cost_model)
       : quickdrop_(std::move(quickdrop)), cost_model_(cost_model) {}
-
-  /// Whether this executor can serve requests of `kind`. Sample-level
-  /// requests need the core/sample_level.h coordinator, which QuickDrop's
-  /// class/client-granular stores do not expose — the queue rejects them at
-  /// admission based on this answer.
-  [[nodiscard]] static bool supports(RequestKind kind) { return kind != RequestKind::kSample; }
 
   /// Runs one SGA + recovery cycle over `batch` starting from `state`.
   /// `cursor_callback`/`resume` thread straight through to

@@ -57,7 +57,7 @@ ServeOptions parse_serve_options(CliFlags& flags) {
   } catch (const std::invalid_argument& e) {
     throw OptionsError("policy", e.what());
   }
-  if (o.max_batch > 0 && policy_from_name(o.policy) != SchedulerPolicy::kCoalesce) {
+  if (flags.has("max-batch") && policy_from_name(o.policy) != SchedulerPolicy::kCoalesce) {
     throw OptionsError("max-batch", "only the coalesce policy batches; drop the flag or use "
                                     "--policy coalesce");
   }

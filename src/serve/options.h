@@ -43,8 +43,8 @@ struct ServeOptions {
   std::uint64_t trace_seed = 0;  ///< resolved against the federation seed later
   bool trace_seed_set = false;
   // Scheduling.
-  std::string policy = "fifo";
-  int max_batch = 0;
+  std::string policy = "coalesce";
+  int max_batch = 1;  ///< coalescing cap, 0 = unlimited; only with coalesce
   bool resume = false;  ///< validate policy against the checkpoint's record
   // Cost model.
   double sec_per_round = 2.0;

@@ -18,19 +18,6 @@ std::string format_exact(double v) {
   return buf;
 }
 
-std::vector<int> parse_int_list(const std::string& text) {
-  std::vector<int> out;
-  std::string cur;
-  std::istringstream in(text);
-  while (std::getline(in, cur, ',')) {
-    std::size_t used = 0;
-    const int v = std::stoi(cur, &used);
-    if (used != cur.size()) throw std::invalid_argument("trailing characters in row list");
-    out.push_back(v);
-  }
-  return out;
-}
-
 }  // namespace
 
 const char* kind_name(RequestKind kind) {
@@ -39,8 +26,6 @@ const char* kind_name(RequestKind kind) {
       return "class";
     case RequestKind::kClient:
       return "client";
-    case RequestKind::kSample:
-      return "sample";
   }
   return "?";
 }
@@ -48,28 +33,18 @@ const char* kind_name(RequestKind kind) {
 RequestKind kind_from_name(const std::string& name) {
   if (name == "class") return RequestKind::kClass;
   if (name == "client") return RequestKind::kClient;
-  if (name == "sample") return RequestKind::kSample;
   throw std::invalid_argument("unknown request kind '" + name + "'");
 }
 
 core::UnlearningRequest ServiceRequest::to_core() const {
-  switch (kind) {
-    case RequestKind::kClass:
-      return core::UnlearningRequest::for_class(target);
-    case RequestKind::kClient:
-      return core::UnlearningRequest::for_client(target);
-    case RequestKind::kSample:
-      break;
-  }
-  throw std::invalid_argument(
-      "sample-level requests need the sample-level coordinator (core/sample_level.h)");
+  return kind == RequestKind::kClass ? core::UnlearningRequest::for_class(target)
+                                     : core::UnlearningRequest::for_client(target);
 }
 
 std::string ServiceRequest::describe() const {
   std::string out = "#" + std::to_string(id) + " " + kind_name(kind) + " " +
                     std::to_string(target) + " @t=" + format_exact(arrival_seconds) + "s";
   if (priority != 0) out += " prio=" + std::to_string(priority);
-  if (!rows.empty()) out += " (" + std::to_string(rows.size()) + " rows)";
   return out;
 }
 
@@ -79,13 +54,6 @@ std::string format_request(const ServiceRequest& request) {
   line += kind_name(request.kind);
   line += " " + std::to_string(request.target);
   if (request.priority != 0) line += " prio=" + std::to_string(request.priority);
-  if (!request.rows.empty()) {
-    line += " rows=";
-    for (std::size_t i = 0; i < request.rows.size(); ++i) {
-      if (i > 0) line += ",";
-      line += std::to_string(request.rows[i]);
-    }
-  }
   return line;
 }
 
@@ -106,14 +74,9 @@ ServiceRequest parse_request(const std::string& line) {
   while (in >> field) {
     if (field.rfind("prio=", 0) == 0) {
       request.priority = std::stoi(field.substr(5));
-    } else if (field.rfind("rows=", 0) == 0) {
-      request.rows = parse_int_list(field.substr(5));
     } else {
       throw std::invalid_argument("unknown trace field '" + field + "'");
     }
-  }
-  if (request.kind == RequestKind::kSample && request.rows.empty()) {
-    throw std::invalid_argument("sample request without rows= in '" + line + "'");
   }
   return request;
 }

@@ -1,15 +1,15 @@
 // Typed unlearning-service requests (the serve/ subsystem's wire format).
 //
-// Extends core/request.h's two-kind model with sample-level granularity plus
-// the service-side lifecycle fields: a stable id (assigned at admission), the
-// simulated arrival time of the request, and a scheduling priority. Requests
-// round-trip through a line-oriented text form so whole traces can be dumped
-// and replayed bit-for-bit (see serve/trace.h).
+// Wraps core/request.h's two kinds (class-level and client-level, paper §3)
+// in the service-side lifecycle fields: a stable id (assigned at admission),
+// the simulated arrival time of the request, and a scheduling priority.
+// Sample-level erasure (paper §5.1) is not served; it lives in
+// core/sample_level.h. Requests round-trip through a line-oriented text form
+// so whole traces can be dumped and replayed bit-for-bit (see serve/trace.h).
 #pragma once
 
 #include <cstdint>
 #include <string>
-#include <vector>
 
 #include "core/request.h"
 
@@ -19,10 +19,9 @@ namespace quickdrop::serve {
 enum class RequestKind {
   kClass,   ///< erase one class across all clients
   kClient,  ///< erase one client's entire contribution
-  kSample,  ///< erase specific client-local rows (paper §5.1 direction)
 };
 
-/// "class" | "client" | "sample".
+/// "class" | "client".
 const char* kind_name(RequestKind kind);
 /// Inverse of kind_name(). Throws std::invalid_argument on anything else.
 RequestKind kind_from_name(const std::string& name);
@@ -33,30 +32,26 @@ struct ServiceRequest {
   /// -1 until admitted.
   std::int64_t id = -1;
   RequestKind kind = RequestKind::kClass;
-  /// Class id (kClass) or client id (kClient, kSample).
+  /// Class id (kClass) or client id (kClient).
   int target = 0;
-  /// Client-local row indices; kSample only, must be non-empty there.
-  std::vector<int> rows;
   /// Simulated arrival time in seconds since service start.
   double arrival_seconds = 0.0;
   /// Scheduling priority (higher runs first under the priority policy).
   int priority = 0;
 
-  /// The core counterpart driving QuickDrop. Throws std::invalid_argument
-  /// for kSample, which core::QuickDrop cannot serve (class/class-subset
-  /// stores only — see core/sample_level.h for the sample-level coordinator).
+  /// The core counterpart driving QuickDrop.
   [[nodiscard]] core::UnlearningRequest to_core() const;
 
   /// Human-readable one-liner, e.g. "#3 class 5 @t=12.5s".
   [[nodiscard]] std::string describe() const;
 };
 
-/// One trace line: `<arrival> <kind> <target> [prio=<p>] [rows=<a,b,c>]`.
+/// One trace line: `<arrival> <kind> <target> [prio=<p>]`.
 /// The arrival time is formatted with enough digits to round-trip exactly.
 std::string format_request(const ServiceRequest& request);
 
 /// Inverse of format_request(). Throws std::invalid_argument on malformed
-/// input (unknown kind, garbage fields, missing rows on a sample request).
+/// input (unknown kind, garbage fields).
 ServiceRequest parse_request(const std::string& line);
 
 }  // namespace quickdrop::serve

@@ -6,8 +6,6 @@ namespace quickdrop::serve {
 
 const char* policy_name(SchedulerPolicy policy) {
   switch (policy) {
-    case SchedulerPolicy::kFifo:
-      return "fifo";
     case SchedulerPolicy::kPriority:
       return "priority";
     case SchedulerPolicy::kCoalesce:
@@ -17,10 +15,9 @@ const char* policy_name(SchedulerPolicy policy) {
 }
 
 SchedulerPolicy policy_from_name(const std::string& name) {
-  if (name == "fifo") return SchedulerPolicy::kFifo;
   if (name == "priority") return SchedulerPolicy::kPriority;
   if (name == "coalesce") return SchedulerPolicy::kCoalesce;
-  throw std::invalid_argument("unknown scheduler policy '" + name + "' (fifo|priority|coalesce)");
+  throw std::invalid_argument("unknown scheduler policy '" + name + "' (priority|coalesce)");
 }
 
 Scheduler::Scheduler(SchedulerPolicy policy, int max_batch)
@@ -32,11 +29,6 @@ std::vector<std::int64_t> Scheduler::next_batch(
     const std::vector<ServiceRequest>& pending) const {
   if (pending.empty()) return {};
 
-  if (policy_ == SchedulerPolicy::kFifo) {
-    // Admission order == arrival order; ids are monotone, so front wins.
-    return {pending.front().id};
-  }
-
   if (policy_ == SchedulerPolicy::kPriority) {
     const ServiceRequest* best = &pending.front();
     for (const auto& request : pending) {
@@ -46,14 +38,9 @@ std::vector<std::int64_t> Scheduler::next_batch(
     return {best->id};
   }
 
-  // Coalesce: every batchable (class/client) pending request, admission
-  // order, up to max_batch_. A sample request at the queue front runs alone
-  // (its forget set is row-granular and cannot merge into a class/client
-  // cycle).
-  if (pending.front().kind == RequestKind::kSample) return {pending.front().id};
+  // Coalesce: the pending requests in admission order, up to max_batch_.
   std::vector<std::int64_t> ids;
   for (const auto& request : pending) {
-    if (request.kind == RequestKind::kSample) continue;
     ids.push_back(request.id);
     if (max_batch_ > 0 && static_cast<int>(ids.size()) >= max_batch_) break;
   }

@@ -37,21 +37,17 @@ ValidationContext make_validation_context(const core::QuickDrop& quickdrop) {
   ValidationContext ctx;
   ctx.num_classes = quickdrop.num_classes();
   ctx.num_clients = quickdrop.num_clients();
-  ctx.supports_sample_level = Executor::supports(RequestKind::kSample);
   ctx.forgotten_classes = &quickdrop.forgotten_classes();
   ctx.forgotten_clients = &quickdrop.forgotten_clients();
   const auto& stores = quickdrop.stores();
   ctx.has_forget_data = [&stores](const ServiceRequest& request) {
-    if (request.kind == RequestKind::kClass) {
-      for (const auto& store : stores) {
-        if (store.has_class(request.target)) return true;
-      }
-      return false;
-    }
     if (request.kind == RequestKind::kClient) {
       return stores[static_cast<std::size_t>(request.target)].total_samples() > 0;
     }
-    return true;  // sample-level data lives outside the synthetic stores
+    for (const auto& store : stores) {
+      if (store.has_class(request.target)) return true;
+    }
+    return false;
   };
   return ctx;
 }

@@ -34,8 +34,9 @@ using RequestEvaluator =
                        RequestMetrics& metrics)>;
 
 struct ServiceConfig {
-  SchedulerPolicy policy = SchedulerPolicy::kFifo;
-  int max_batch = 0;  ///< coalescing cap, 0 = unlimited
+  /// Default: one request per cycle in admission order.
+  SchedulerPolicy policy = SchedulerPolicy::kCoalesce;
+  int max_batch = 1;  ///< coalescing cap, 0 = unlimited
   CostModel cost_model;
   /// Forwarded to the executor for mid-request checkpointing.
   core::UnlearnCursorCallback cursor_callback;

@@ -66,8 +66,7 @@ std::vector<ServiceRequest> generate_trace(const ArrivalConfig& config, Rng& rng
 }
 
 std::string format_trace(const std::vector<ServiceRequest>& trace) {
-  std::string out = "# quickdrop request trace: <arrival-seconds> <kind> <target>"
-                    " [prio=<p>] [rows=<a,b,...>]\n";
+  std::string out = "# quickdrop request trace: <arrival-seconds> <kind> <target> [prio=<p>]\n";
   for (const auto& request : trace) {
     out += format_request(request);
     out += "\n";

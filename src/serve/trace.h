@@ -34,14 +34,12 @@ struct ArrivalConfig {
   /// Mean of the exponential inter-arrival gap (Poisson process); the
   /// service CLI exposes this as --arrival-rate in requests/hour.
   double mean_interarrival_seconds = 120.0;
-  /// Fraction of client-level requests; the rest are class-level. Sample
-  /// requests are never generated (core::QuickDrop cannot serve them) —
-  /// hand-write trace lines to exercise that path.
+  /// Fraction of client-level requests; the rest are class-level.
   double client_fraction = 0.25;
   int num_classes = 10;
   int num_clients = 10;
   /// Priorities are drawn uniformly from [0, priority_levels); 1 keeps every
-  /// request at priority 0 (pure FIFO ordering under every policy).
+  /// request at priority 0 (admission order under every policy).
   int priority_levels = 1;
   /// When false (default) targets are drawn without replacement per kind, so
   /// a generated trace never contains requests the validator must reject as

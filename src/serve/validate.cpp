@@ -12,10 +12,6 @@ const char* reject_reason_name(RejectReason reason) {
       return "duplicate-pending";
     case RejectReason::kEmptyForgetSet:
       return "empty-forget-set";
-    case RejectReason::kEmptyRows:
-      return "empty-rows";
-    case RejectReason::kUnsupportedKind:
-      return "unsupported-kind";
   }
   return "?";
 }
@@ -25,31 +21,10 @@ AdmissionDecision validate_request(const ServiceRequest& request, const Validati
                            std::to_string(request.target);
 
   // Range first: later checks index per-target state.
-  if (request.kind == RequestKind::kClass) {
-    if (request.target < 0 || request.target >= ctx.num_classes) {
-      return AdmissionDecision::reject(
-          RejectReason::kTargetOutOfRange,
-          what + " outside [0, " + std::to_string(ctx.num_classes) + ")");
-    }
-  } else {
-    if (request.target < 0 || request.target >= ctx.num_clients) {
-      return AdmissionDecision::reject(
-          RejectReason::kTargetOutOfRange,
-          what + " outside [0, " + std::to_string(ctx.num_clients) + ")");
-    }
-  }
-
-  if (request.kind == RequestKind::kSample) {
-    if (!ctx.supports_sample_level) {
-      return AdmissionDecision::reject(
-          RejectReason::kUnsupportedKind,
-          "executor serves class/client granularity only; sample requests need the "
-          "sample-level coordinator (core/sample_level.h)");
-    }
-    if (request.rows.empty()) {
-      return AdmissionDecision::reject(RejectReason::kEmptyRows,
-                                       what + " names no rows to forget");
-    }
+  const int limit = request.kind == RequestKind::kClass ? ctx.num_classes : ctx.num_clients;
+  if (request.target < 0 || request.target >= limit) {
+    return AdmissionDecision::reject(RejectReason::kTargetOutOfRange,
+                                     what + " outside [0, " + std::to_string(limit) + ")");
   }
 
   if (request.kind == RequestKind::kClass && ctx.forgotten_classes &&

@@ -22,8 +22,6 @@ enum class RejectReason {
   kAlreadyForgotten,   ///< target was erased by an earlier request
   kDuplicatePending,   ///< an identical request is already queued
   kEmptyForgetSet,     ///< no synthetic data exists for the target
-  kEmptyRows,          ///< sample request with no rows
-  kUnsupportedKind,    ///< executor cannot serve this granularity
 };
 
 /// Stable lower-case token, e.g. "already-forgotten" (used in logs/JSON).
@@ -46,8 +44,6 @@ struct AdmissionDecision {
 struct ValidationContext {
   int num_classes = 0;
   int num_clients = 0;
-  /// Granularities the executor can serve (sample-level is typically off).
-  bool supports_sample_level = false;
   const std::set<int>* forgotten_classes = nullptr;
   const std::set<int>* forgotten_clients = nullptr;
   /// Requests currently queued (duplicate detection); nullptr = skip.
@@ -57,9 +53,9 @@ struct ValidationContext {
   std::function<bool(const ServiceRequest&)> has_forget_data;
 };
 
-/// Runs every admission check in a fixed order (range, support, rows,
-/// already-forgotten, duplicate, empty forget set) and returns the first
-/// failure, so rejection reasons are deterministic.
+/// Runs every admission check in a fixed order (range, already-forgotten,
+/// duplicate, empty forget set) and returns the first failure, so rejection
+/// reasons are deterministic.
 AdmissionDecision validate_request(const ServiceRequest& request, const ValidationContext& ctx);
 
 }  // namespace quickdrop::serve

@@ -22,23 +22,20 @@ namespace {
 using testing::MiniFederation;
 using testing::ThreadGuard;
 
-serve::ServiceRequest request(serve::RequestKind kind, int target, int priority = 0,
-                              std::vector<int> rows = {}) {
+serve::ServiceRequest request(serve::RequestKind kind, int target, int priority = 0) {
   serve::ServiceRequest r;
   r.kind = kind;
   r.target = target;
   r.priority = priority;
-  r.rows = std::move(rows);
   return r;  // arrival 0: HTTP admits at the sim clock, which starts at 0
 }
 
-/// Class, client and sample-with-rows requests, a duplicate of a pending
-/// request and an out-of-range target, every arrival at 0.
+/// Class and client requests, a duplicate of a pending request and an
+/// out-of-range target, every arrival at 0.
 std::vector<serve::ServiceRequest> mixed_trace() {
   using serve::RequestKind;
   return {request(RequestKind::kClass, 1),
           request(RequestKind::kClient, 2, /*priority=*/3),  // served first under kPriority
-          request(RequestKind::kSample, 0, 0, {1, 4, 9}),
           request(RequestKind::kClass, 1),
           request(RequestKind::kClass, 99),
           request(RequestKind::kClass, 3)};
@@ -48,13 +45,6 @@ std::string unlearn_body(const serve::ServiceRequest& r) {
   std::string body = std::string("{\"kind\": \"") + serve::kind_name(r.kind) +
                      "\", \"target\": " + std::to_string(r.target);
   if (r.priority != 0) body += ", \"priority\": " + std::to_string(r.priority);
-  if (!r.rows.empty()) {
-    body += ", \"rows\": [";
-    for (std::size_t i = 0; i < r.rows.size(); ++i) {
-      body += (i ? ", " : "") + std::to_string(r.rows[i]);
-    }
-    body += "]";
-  }
   return body + "}";
 }
 
@@ -73,7 +63,7 @@ struct Run {
   std::vector<std::uint8_t> state_bytes;
   std::string json;
   std::vector<std::string> rejection_reasons;  ///< admission order
-  /// The refused requests as trace lines (kind, target, priority, rows).
+  /// The refused requests as trace lines (kind, target, priority).
   std::vector<std::string> rejected_lines;
 };
 
@@ -161,8 +151,7 @@ Run run_http(serve::SchedulerPolicy policy, int threads, const core::QuickDropCo
 void expect_same_door(serve::SchedulerPolicy policy, const core::QuickDropConfig& cfg) {
   const auto inproc = run_inproc(policy, 1, cfg);
   ASSERT_EQ(inproc.rejection_reasons,
-            (std::vector<std::string>{"unsupported-kind", "duplicate-pending",
-                                      "target-out-of-range"}));
+            (std::vector<std::string>{"duplicate-pending", "target-out-of-range"}));
   for (const int threads : {1, 4}) {
     const auto http = run_http(policy, threads, cfg);
     EXPECT_TRUE(http.state_bytes == inproc.state_bytes) << "model bytes at " << threads;

@@ -40,7 +40,8 @@ TEST(ServeOptions, DefaultsParseClean) {
   const auto o = parse_serve({});
   EXPECT_EQ(o.checkpoint, "model.qdcp");
   EXPECT_EQ(o.requests, 6);
-  EXPECT_EQ(o.policy, "fifo");
+  EXPECT_EQ(o.policy, "coalesce");
+  EXPECT_EQ(o.max_batch, 1);  // one request per cycle, in admission order
   EXPECT_EQ(o.listen_port, -1);
   EXPECT_FALSE(o.trace_seed_set);
 
@@ -69,12 +70,16 @@ TEST(ServeOptions, RejectsOutOfRangeValues) {
   expect_serve_error({"--sec-per-round=-2"}, "sec-per-round");
   expect_serve_error({"--sec-per-grad=-1e-4"}, "sec-per-grad");
   expect_serve_error({"--policy=bogus"}, "policy");
+  expect_serve_error({"--policy=fifo"}, "policy");  // now coalesce with --max-batch 1
 }
 
 TEST(ServeOptions, MaxBatchRequiresCoalescePolicy) {
-  expect_serve_error({"--max-batch=4"}, "max-batch");
+  // The default max_batch does not count against priority; only the flag does.
+  EXPECT_EQ(parse_serve({"--policy=priority"}).policy, "priority");
   expect_serve_error({"--policy=priority", "--max-batch=4"}, "max-batch");
+  expect_serve_error({"--policy=priority", "--max-batch=0"}, "max-batch");
   EXPECT_EQ(parse_serve({"--policy=coalesce", "--max-batch=4"}).max_batch, 4);
+  EXPECT_EQ(parse_serve({"--max-batch=0"}).max_batch, 0);
 }
 
 TEST(ServeOptions, TraceFileConflictsWithGenerationFlags) {
@@ -116,7 +121,8 @@ TEST(ServeOptions, ResumePolicyGate) {
   o.resume = true;
   // Checkpoint predates policy recording.
   EXPECT_THROW(validate_resume_policy(o, {}), OptionsError);
-  // Policy mismatch names the recorded policy in the message.
+  // Policy mismatch names the recorded policy in the message; a checkpoint
+  // served under the removed fifo policy is such a mismatch.
   try {
     validate_resume_policy(o, {{kServePolicyKey, "fifo"}});
     ADD_FAILURE() << "expected policy-mismatch OptionsError";

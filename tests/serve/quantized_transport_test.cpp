@@ -99,7 +99,8 @@ ServiceRun run_service(int threads, core::QuickDropConfig cfg) {
   auto qd = std::make_shared<core::QuickDrop>(fed.factory, fed.clients, cfg, 99);
   const auto trained = qd->train();
   ServiceConfig config;
-  config.policy = SchedulerPolicy::kFifo;
+  config.policy = SchedulerPolicy::kCoalesce;
+  config.max_batch = 1;
   UnlearningService service(qd, trained, config);
   const auto report = service.run({class_request(1, 0.0), class_request(3, 5.0)});
   return {service.state(), report.to_json()};

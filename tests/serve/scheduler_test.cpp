@@ -1,9 +1,11 @@
-// Scheduler policy contracts: FIFO order, priority selection, coalescing.
+// Scheduler policy contracts: priority selection, coalescing, and coalesce
+// with max_batch 1 as the serial admission-order baseline.
 #include <gtest/gtest.h>
 
 #include <stdexcept>
 
 #include "serve/scheduler.h"
+#include "serve/service.h"
 
 namespace quickdrop::serve {
 namespace {
@@ -18,15 +20,15 @@ ServiceRequest make_request(std::int64_t id, RequestKind kind, int target, int p
 }
 
 TEST(SchedulerTest, PolicyNamesRoundTrip) {
-  for (const auto policy :
-       {SchedulerPolicy::kFifo, SchedulerPolicy::kPriority, SchedulerPolicy::kCoalesce}) {
+  for (const auto policy : {SchedulerPolicy::kPriority, SchedulerPolicy::kCoalesce}) {
     EXPECT_EQ(policy_from_name(policy_name(policy)), policy);
   }
   EXPECT_THROW(policy_from_name("lifo"), std::invalid_argument);
+  EXPECT_THROW(policy_from_name("fifo"), std::invalid_argument);  // coalesce, max_batch 1
 }
 
-TEST(SchedulerTest, FifoPicksTheFrontRequestOnly) {
-  const Scheduler scheduler(SchedulerPolicy::kFifo);
+TEST(SchedulerTest, CoalesceMaxBatchOnePicksTheFrontRequestOnly) {
+  const Scheduler scheduler(SchedulerPolicy::kCoalesce, 1);
   EXPECT_TRUE(scheduler.next_batch({}).empty());
   const std::vector<ServiceRequest> pending = {
       make_request(3, RequestKind::kClass, 1, 0),
@@ -35,6 +37,19 @@ TEST(SchedulerTest, FifoPicksTheFrontRequestOnly) {
   const auto ids = scheduler.next_batch(pending);
   ASSERT_EQ(ids.size(), 1u);
   EXPECT_EQ(ids[0], 3);
+}
+
+TEST(SchedulerTest, ServiceDefaultServesOneRequestPerCycleInAdmissionOrder) {
+  // perfbench's serve_http runs ApiService on the library defaults, so they
+  // must keep serving exactly one request per cycle, earliest admission first.
+  const ServiceConfig config;
+  const Scheduler scheduler(config.policy, config.max_batch);
+  const std::vector<ServiceRequest> pending = {
+      make_request(3, RequestKind::kClass, 1, 0),
+      make_request(4, RequestKind::kClient, 2, 9),
+      make_request(5, RequestKind::kClass, 3, 0),
+  };
+  EXPECT_EQ(scheduler.next_batch(pending), (std::vector<std::int64_t>{3}));
 }
 
 TEST(SchedulerTest, PriorityPicksHighestThenEarliestAdmitted) {
@@ -69,21 +84,6 @@ TEST(SchedulerTest, CoalesceHonorsMaxBatch) {
   };
   EXPECT_EQ(scheduler.next_batch(pending), (std::vector<std::int64_t>{0, 1}));
   EXPECT_THROW(Scheduler(SchedulerPolicy::kCoalesce, -1), std::invalid_argument);
-}
-
-TEST(SchedulerTest, CoalesceRunsSampleRequestsAlone) {
-  const Scheduler scheduler(SchedulerPolicy::kCoalesce);
-  auto sample = make_request(0, RequestKind::kSample, 1);
-  sample.rows = {3};
-  // Sample at the front: singleton batch.
-  EXPECT_EQ(scheduler.next_batch({sample, make_request(1, RequestKind::kClass, 2)}),
-            (std::vector<std::int64_t>{0}));
-  // Sample behind class requests: skipped, classes merge.
-  auto mid_sample = make_request(1, RequestKind::kSample, 0);
-  mid_sample.rows = {7};
-  EXPECT_EQ(scheduler.next_batch({make_request(0, RequestKind::kClass, 2), mid_sample,
-                                  make_request(2, RequestKind::kClass, 3)}),
-            (std::vector<std::int64_t>{0, 2}));
 }
 
 }  // namespace

@@ -111,13 +111,16 @@ struct ServiceRun {
   fl::ModelFactory factory;
 };
 
-ServiceRun run_service(SchedulerPolicy policy, int threads, core::QuickDropConfig cfg) {
+/// Coalescing service over clustered_trace(); max_batch 1 serves one
+/// request per cycle in admission order, 0 merges every pending request.
+ServiceRun run_service(int max_batch, int threads, core::QuickDropConfig cfg) {
   set_num_threads(threads);
   MiniFederation fed;
   auto qd = std::make_shared<core::QuickDrop>(fed.factory, fed.clients, cfg, 99);
   const auto trained = qd->train();
   ServiceConfig config;
-  config.policy = policy;
+  config.policy = SchedulerPolicy::kCoalesce;
+  config.max_batch = max_batch;
   config.cost_model = slow_rounds();
   UnlearningService service(qd, trained, config);
   ServiceRun out{.final_state = {},
@@ -133,38 +136,39 @@ ServiceRun run_service(SchedulerPolicy policy, int threads, core::QuickDropConfi
 TEST(ServiceTest, CoalescingMatchesSequentialOnRetainedClassesWithFewerRounds) {
   ThreadGuard guard;
   const auto cfg = MiniFederation::config();
-  const auto fifo = run_service(SchedulerPolicy::kFifo, 1, cfg);
-  const auto coalesce = run_service(SchedulerPolicy::kCoalesce, 1, cfg);
+  const auto serial = run_service(1, 1, cfg);
+  const auto coalesce = run_service(0, 1, cfg);
 
-  ASSERT_EQ(fifo.report.completed.size(), 3u);
+  ASSERT_EQ(serial.report.completed.size(), 3u);
   ASSERT_EQ(coalesce.report.completed.size(), 3u);
   // With 50s rounds and arrivals 5s apart, requests 2 and 3 arrive during
-  // cycle 0 and must merge: strictly fewer cycles and FL rounds than FIFO.
-  EXPECT_LT(coalesce.report.cycles, fifo.report.cycles);
-  EXPECT_LT(coalesce.report.total_fl_rounds, fifo.report.total_fl_rounds);
-  EXPECT_EQ(fifo.report.cycles, 3);
+  // cycle 0 and must merge: strictly fewer cycles and FL rounds than one
+  // request per cycle.
+  EXPECT_LT(coalesce.report.cycles, serial.report.cycles);
+  EXPECT_LT(coalesce.report.total_fl_rounds, serial.report.total_fl_rounds);
+  EXPECT_EQ(serial.report.cycles, 3);
   EXPECT_EQ(coalesce.report.cycles, 2);
 
   // Both histories forget classes {1,2,3}; the retained class 0 must end up
   // comparably accurate, and every forgotten class near zero, either way.
-  auto model = fifo.factory();
-  nn::load_state(*model, fifo.final_state);
-  const auto pc_fifo = metrics::per_class_accuracy(*model, fifo.test);
+  auto model = serial.factory();
+  nn::load_state(*model, serial.final_state);
+  const auto pc_serial = metrics::per_class_accuracy(*model, serial.test);
   nn::load_state(*model, coalesce.final_state);
   const auto pc_coalesce = metrics::per_class_accuracy(*model, coalesce.test);
   for (const int forgotten : {1, 2, 3}) {
-    EXPECT_LT(pc_fifo[static_cast<std::size_t>(forgotten)], 0.25) << forgotten;
+    EXPECT_LT(pc_serial[static_cast<std::size_t>(forgotten)], 0.25) << forgotten;
     EXPECT_LT(pc_coalesce[static_cast<std::size_t>(forgotten)], 0.25) << forgotten;
   }
-  EXPECT_NEAR(pc_fifo[0], pc_coalesce[0], 0.25);
+  EXPECT_NEAR(pc_serial[0], pc_coalesce[0], 0.25);
   EXPECT_GT(pc_coalesce[0], 0.5);
 }
 
 TEST(ServiceTest, RunBitIdenticalAcrossThreadCounts) {
   ThreadGuard guard;
   const auto cfg = MiniFederation::config();
-  const auto serial = run_service(SchedulerPolicy::kCoalesce, 1, cfg);
-  const auto parallel = run_service(SchedulerPolicy::kCoalesce, 4, cfg);
+  const auto serial = run_service(0, 1, cfg);
+  const auto parallel = run_service(0, 4, cfg);
   expect_states_bitwise_equal(serial.final_state, parallel.final_state, "service state");
   // The whole report — latencies, rounds, bytes — is simulated, so the JSON
   // must match byte for byte.
@@ -181,8 +185,8 @@ TEST(ServiceTest, RunBitIdenticalAcrossThreadCountsUnderFaultPlan) {
   cfg.faults = fl::FaultPlan(77, rates);
   cfg.defense.min_quorum = 0.25f;
   cfg.defense.max_round_attempts = 2;
-  const auto serial = run_service(SchedulerPolicy::kFifo, 1, cfg);
-  const auto parallel = run_service(SchedulerPolicy::kFifo, 4, cfg);
+  const auto serial = run_service(1, 1, cfg);
+  const auto parallel = run_service(1, 4, cfg);
   expect_states_bitwise_equal(serial.final_state, parallel.final_state, "faulted service state");
   EXPECT_EQ(serial.json, parallel.json);
 }
@@ -213,23 +217,17 @@ TEST(ServiceTest, RejectsInvalidTraceRequestsWithReasons) {
   auto trace = clustered_trace();
   trace.push_back(class_request(2, 10.0));   // duplicate of a pending request
   trace.push_back(class_request(99, 11.0));  // out of range
-  ServiceRequest sample;
-  sample.kind = RequestKind::kSample;
-  sample.target = 0;
-  sample.rows = {1};
-  sample.arrival_seconds = 12.0;
-  trace.push_back(sample);  // executor serves class/client only
 
   ServiceConfig config;
   config.policy = SchedulerPolicy::kCoalesce;
+  config.max_batch = 0;
   config.cost_model = slow_rounds();
   UnlearningService service(qd, trained, config);
   const auto report = service.run(trace);
   EXPECT_EQ(report.completed.size(), 3u);
-  ASSERT_EQ(report.rejected.size(), 3u);
+  ASSERT_EQ(report.rejected.size(), 2u);
   EXPECT_EQ(report.rejected[0].reason, RejectReason::kDuplicatePending);
   EXPECT_EQ(report.rejected[1].reason, RejectReason::kTargetOutOfRange);
-  EXPECT_EQ(report.rejected[2].reason, RejectReason::kUnsupportedKind);
 }
 
 TEST(ServiceTest, ExecutorResumesMidRequestViaCheckpoint) {

@@ -66,21 +66,13 @@ TEST(TraceTest, TextRoundTripIsExact) {
   config.priority_levels = 4;
   config.client_fraction = 0.5;
   Rng rng(42);
-  auto trace = generate_trace(config, rng);
-  // A hand-written sample request exercises the rows field.
-  ServiceRequest sample;
-  sample.kind = RequestKind::kSample;
-  sample.target = 2;
-  sample.rows = {5, 9, 11};
-  sample.arrival_seconds = trace.back().arrival_seconds + 1.25;
-  trace.push_back(sample);
+  const auto trace = generate_trace(config, rng);
 
   const auto parsed = parse_trace(format_trace(trace));
   ASSERT_EQ(parsed.size(), trace.size());
   for (std::size_t i = 0; i < trace.size(); ++i) {
     EXPECT_EQ(parsed[i].kind, trace[i].kind) << i;
     EXPECT_EQ(parsed[i].target, trace[i].target) << i;
-    EXPECT_EQ(parsed[i].rows, trace[i].rows) << i;
     EXPECT_EQ(parsed[i].arrival_seconds, trace[i].arrival_seconds)  // NOLINT bitwise contract
         << i << ": arrival must round-trip bit-exactly";
     EXPECT_EQ(parsed[i].priority, trace[i].priority) << i;
@@ -105,8 +97,9 @@ TEST(TraceTest, ParseRejectsMalformedLines) {
   EXPECT_THROW(parse_request("12.0 shard 3"), std::invalid_argument);      // unknown kind
   EXPECT_THROW(parse_request("abc class 3"), std::invalid_argument);       // bad arrival
   EXPECT_THROW(parse_request("1.0 class"), std::invalid_argument);         // missing target
-  EXPECT_THROW(parse_request("1.0 sample 2"), std::invalid_argument);      // rows required
+  EXPECT_THROW(parse_request("1.0 sample 2"), std::invalid_argument);      // not served
   EXPECT_THROW(parse_request("1.0 class 3 what=1"), std::invalid_argument);  // unknown field
+  EXPECT_THROW(parse_request("1.0 client 2 rows=1"), std::invalid_argument);  // unknown field
 }
 
 TEST(TraceTest, ParseReportsLineNumbersInTypedErrors) {
@@ -118,6 +111,15 @@ TEST(TraceTest, ParseReportsLineNumbersInTypedErrors) {
   } catch (const TraceError& e) {
     EXPECT_EQ(e.line_number, 4);
     EXPECT_NE(std::string(e.what()).find("trace line 4"), std::string::npos);
+  }
+  // Sample-level erasure is not a served kind: a sample line, rows and all,
+  // is refused like any unknown kind, with its line number.
+  try {
+    parse_trace("1.0 class 3\n2.0 client 1\n1.0 sample 2 rows=1\n");
+    FAIL() << "expected TraceError";
+  } catch (const TraceError& e) {
+    EXPECT_EQ(e.line_number, 3);
+    EXPECT_NE(std::string(e.what()).find("'sample'"), std::string::npos) << e.what();
   }
   // TraceError IS-A invalid_argument, so pre-existing catch sites still work.
   EXPECT_THROW(parse_trace("1.0 class notanint\n"), std::invalid_argument);

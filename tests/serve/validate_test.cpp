@@ -21,7 +21,6 @@ ValidationContext make_context() {
   ValidationContext ctx;
   ctx.num_classes = 10;
   ctx.num_clients = 4;
-  ctx.supports_sample_level = false;
   return ctx;
 }
 
@@ -80,23 +79,6 @@ TEST(ValidateTest, RejectsEmptyForgetSet) {
   ASSERT_FALSE(decision.accepted);
   EXPECT_EQ(decision.reason, RejectReason::kEmptyForgetSet);
   EXPECT_TRUE(validate_request(make_request(RequestKind::kClass, 6), ctx).accepted);
-}
-
-TEST(ValidateTest, RejectsUnsupportedSampleKind) {
-  const auto ctx = make_context();
-  auto request = make_request(RequestKind::kSample, 2);
-  request.rows = {1, 2};
-  const auto decision = validate_request(request, ctx);
-  ASSERT_FALSE(decision.accepted);
-  EXPECT_EQ(decision.reason, RejectReason::kUnsupportedKind);
-}
-
-TEST(ValidateTest, RejectsSampleWithEmptyRows) {
-  auto ctx = make_context();
-  ctx.supports_sample_level = true;
-  const auto decision = validate_request(make_request(RequestKind::kSample, 2), ctx);
-  ASSERT_FALSE(decision.accepted);
-  EXPECT_EQ(decision.reason, RejectReason::kEmptyRows);
 }
 
 TEST(QueueTest, AssignsMonotoneIdsInAdmissionOrder) {

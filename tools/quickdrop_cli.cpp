@@ -8,8 +8,12 @@
 //   quickdrop_cli relearn --checkpoint fixed.qdcp --class 9 --out back.qdcp
 //   quickdrop_cli inspect --checkpoint model.qdcp
 //   quickdrop_cli serve   --checkpoint model.qdcp --requests 6 --arrival-rate 25
-//                         --policy coalesce --json service.json
-//   quickdrop_cli serve   --checkpoint model.qdcp --trace trace.txt --policy fifo
+//                         --max-batch 0 --json service.json
+//   quickdrop_cli serve   --checkpoint model.qdcp --trace trace.txt --policy priority
+//
+// `serve` takes class and client requests and schedules them by priority or
+// by coalescing (default: coalesce with --max-batch 1, one request per cycle
+// in admission order; --max-batch 0 merges every pending request).
 //
 // Fault tolerance: `train` accepts --fault-crash/--fault-straggler/
 // --fault-corrupt/--fault-stale rates plus --quorum/--max-attempts defenses
@@ -542,7 +546,8 @@ int usage() {
                "  unlearn --checkpoint FILE (--class C | --client I) --out FILE\n"
                "  relearn --checkpoint FILE (--class C | --client I) --out FILE\n"
                "  serve   --checkpoint FILE [--trace FILE | --requests N --arrival-rate SECS]\n"
-               "          [--policy fifo|priority|coalesce] [--max-batch N] [--trace-seed S]\n"
+               "          [--policy priority|coalesce] [--max-batch N (coalesce; default 1,\n"
+               "          0 = unlimited)] [--trace-seed S]\n"
                "          [--dump-trace FILE] [--json FILE] [--out FILE] [--resume]\n"
                "          [--sec-per-round S] [--sec-per-grad S]\n"
                "          [--listen PORT [--tenants name=token,...]]  (HTTP instead of a trace)\n"
