@@ -35,15 +35,13 @@ int main(int argc, char** argv) {
   add_row(round_counter++, "trained", world.fed.global);  // paper shows 2 flat rounds first
 
   const auto request = qd::core::UnlearningRequest::for_class(target_class);
-  int stage_round = 0;
   std::vector<std::pair<std::string, qd::nn::ModelState>> snapshots;
-  world.fed.quickdrop->unlearn(
-      world.fed.global, request, nullptr, nullptr,
-      [&](int, const qd::nn::ModelState& state) {
-        const bool in_unlearn =
-            stage_round < world.fed.quickdrop->config().unlearn_rounds;
-        snapshots.emplace_back(in_unlearn ? "unlearn" : "recover", state);
-        ++stage_round;
+  world.fed.quickdrop->unlearn_batch(
+      world.fed.global, {request}, nullptr, nullptr, {},
+      [&](const qd::core::UnlearnCursor& cursor, const qd::nn::ModelState& state) {
+        snapshots.emplace_back(
+            cursor.phase == qd::core::UnlearnCursor::kPhaseUnlearn ? "unlearn" : "recover",
+            state);
       });
   for (const auto& [stage, state] : snapshots) add_row(round_counter++, stage, state);
 

@@ -19,14 +19,12 @@ UnlearnOutcome QuickDropMethod::unlearn(TrainedFederation& fed,
   UnlearnOutcome out;
   core::PhaseStats unlearn_stats, recovery_stats;
   // Capture the intermediate state right after the SGA stage for per-stage
-  // reporting: run the callback on unlearning rounds only.
+  // reporting: the last round the cursor reports in the unlearn phase.
   nn::ModelState after_unlearn;
-  out.state = fed.quickdrop->unlearn(
-      fed.global, request, &unlearn_stats, &recovery_stats,
-      [&](int round, const nn::ModelState& state) {
-        if (round + 1 == fed.quickdrop->config().unlearn_rounds && after_unlearn.empty()) {
-          after_unlearn = state;
-        }
+  out.state = fed.quickdrop->unlearn_batch(
+      fed.global, {request}, &unlearn_stats, &recovery_stats, {},
+      [&](const core::UnlearnCursor& cursor, const nn::ModelState& state) {
+        if (cursor.phase == core::UnlearnCursor::kPhaseUnlearn) after_unlearn = state;
       });
   out.after_unlearn = after_unlearn.empty() ? out.state : after_unlearn;
   out.unlearn = to_report(unlearn_stats);

@@ -1,5 +1,6 @@
 #include "core/quickdrop.h"
 
+#include <algorithm>
 #include <stdexcept>
 
 #include "tensor/kernels.h"
@@ -85,10 +86,6 @@ nn::ModelState QuickDrop::initial_state() const {
   return initial_state_;  // FlatState copies are deep
 }
 
-std::vector<data::Dataset> QuickDrop::forget_datasets(const UnlearningRequest& request) const {
-  return forget_datasets(std::vector<UnlearningRequest>{request});
-}
-
 std::vector<data::Dataset> QuickDrop::forget_datasets(
     const std::vector<UnlearningRequest>& batch) const {
   std::set<int> classes, clients;
@@ -109,12 +106,6 @@ std::vector<data::Dataset> QuickDrop::forget_datasets(
     }
   }
   return out;
-}
-
-std::vector<data::Dataset> QuickDrop::retain_datasets(const UnlearningRequest* request) const {
-  std::vector<UnlearningRequest> batch;
-  if (request) batch.push_back(*request);
-  return retain_datasets(batch);
 }
 
 std::vector<data::Dataset> QuickDrop::retain_datasets(
@@ -154,31 +145,24 @@ double QuickDrop::forget_accuracy(const data::Dataset& dataset) {
   return static_cast<double>(correct) / static_cast<double>(labels.size());
 }
 
-nn::ModelState QuickDrop::run_phase(const nn::ModelState& start,
-                                    const std::vector<data::Dataset>& client_data, int rounds,
-                                    float lr, nn::UpdateDirection direction, float participation,
-                                    PhaseStats* stats, const fl::RoundCallback& callback,
-                                    int start_round, const std::vector<std::uint8_t>* resume_rng,
-                                    const fl::RoundCursorCallback& cursor_callback) {
-  const Timer timer;
+nn::ModelState QuickDrop::run_rounds(const nn::ModelState& start,
+                                     const std::vector<data::Dataset>& client_data,
+                                     int first_round, int end_round, float lr,
+                                     nn::UpdateDirection direction, float participation, Rng& rng,
+                                     PhaseStats& stats, const fl::RoundCallback& callback,
+                                     const fl::RoundCursorCallback& cursor_callback) {
   fl::SgdLocalUpdate update(config_.unlearn_local_steps, config_.unlearn_batch_size, lr,
                             direction);
-  fl::ResilientConfig fed{.rounds = rounds, .participation = participation};
+  fl::ResilientConfig fed{.rounds = end_round, .participation = participation};
   fed.faults = config_.faults;
   fed.defense = config_.defense;
   fed.transport = config_.transport;
-  fed.start_round = start_round;
+  fed.start_round = first_round;
   fed.client_model_factory = factory_;
-  fl::CostMeter cost;
-  Rng phase_rng = resume_rng ? Rng::deserialize(*resume_rng) : rng_.split(0xE0);
-  nn::ModelState result = fl::run_resilient(*scratch_model_, start, client_data, update, fed,
-                                            phase_rng, cost, callback, {}, cursor_callback);
-  if (stats) {
-    stats->seconds = timer.seconds();
-    stats->cost = cost;
-    stats->rounds = rounds - start_round;
-    stats->data_size = fl::total_samples(client_data);
-  }
+  nn::ModelState result = fl::run_resilient(*scratch_model_, start, client_data, update, fed, rng,
+                                            stats.cost, callback, {}, cursor_callback);
+  stats.rounds += end_round - first_round;
+  stats.data_size = fl::total_samples(client_data);
   return result;
 }
 
@@ -195,8 +179,27 @@ nn::ModelState QuickDrop::unlearn_batch(const nn::ModelState& state,
                                         const UnlearnCursorCallback& cursor_callback,
                                         const UnlearnCursor* resume) {
   if (batch.empty()) throw std::invalid_argument("QuickDrop::unlearn: empty request batch");
-  const bool resume_sga = resume && resume->phase == UnlearnCursor::kPhaseUnlearn;
+  if (resume && ((resume->phase != UnlearnCursor::kPhaseUnlearn &&
+                  resume->phase != UnlearnCursor::kPhaseRecover) ||
+                 resume->rng_state.empty())) {
+    throw std::invalid_argument("QuickDrop::unlearn: resume cursor needs a known phase and "
+                                "its phase RNG state");
+  }
   const bool resume_recovery = resume && resume->phase == UnlearnCursor::kPhaseRecover;
+  // Each phase starts from the same tagged stream; a resume cursor carries
+  // its phase's stream as it stood entering the next round.
+  auto phase_rng = [&](int phase) {
+    return resume && resume->phase == phase ? Rng::deserialize(resume->rng_state)
+                                            : rng_.split(0xE0);
+  };
+  auto report_cursor = [&](int phase) -> fl::RoundCursorCallback {
+    if (!cursor_callback) return {};
+    return [&cursor_callback, phase](int round, const nn::ModelState& s, const Rng& rng) {
+      cursor_callback(
+          UnlearnCursor{.phase = phase, .rounds_done = round + 1, .rng_state = rng.serialize()},
+          s);
+    };
+  };
 
   // Unlearning rounds: SGA on the synthetic forget counterpart S_f (the
   // per-client union over the batch).
@@ -210,79 +213,48 @@ nn::ModelState QuickDrop::unlearn_batch(const nn::ModelState& state,
   }
 
   nn::ModelState current = state;
-  if (resume_recovery) {
-    // SGA already completed before the crash; only recovery rounds remain.
-    if (unlearn_stats) *unlearn_stats = PhaseStats{};
-  } else if (config_.max_unlearn_rounds > config_.unlearn_rounds) {
-    // Verified unlearning: repeat SGA rounds until the synthetic forget set
-    // is actually erased (or the cap is reached). Each iteration derives a
-    // fresh tagged RNG, so a cursor needs only the iteration count.
-    PhaseStats accumulated;
+  PhaseStats sga;
+  if (!resume_recovery) {
+    // One FedAvg phase, one round at a time: round i runs as round i of the
+    // phase, so a lost round is followed by the next round, not replayed.
+    // Verified unlearning (max_unlearn_rounds > unlearn_rounds) checks the
+    // synthetic forget set between rounds once the minimum rounds are done
+    // and stops as soon as it is erased.
     const Timer timer;
-    data::Dataset forget_union = forget.front();
-    for (std::size_t i = 1; i < forget.size(); ++i) {
-      if (!forget[i].empty()) {
-        forget_union = forget_union.empty() ? forget[i]
-                                            : data::Dataset::concat(forget_union, forget[i]);
+    const int max_rounds = std::max(config_.unlearn_rounds, config_.max_unlearn_rounds);
+    data::Dataset forget_union(forget.front().image_shape(), forget.front().num_classes());
+    for (const auto& d : forget) {
+      if (max_rounds > config_.unlearn_rounds && !d.empty()) {
+        forget_union = forget_union.empty() ? d : data::Dataset::concat(forget_union, d);
       }
     }
-    int rounds_run = resume_sga ? resume->rounds_done : 0;
-    while (rounds_run < config_.max_unlearn_rounds) {
-      if (rounds_run >= config_.unlearn_rounds) {  // minimum rounds first
+    Rng rng = phase_rng(UnlearnCursor::kPhaseUnlearn);
+    const auto sga_cursor = report_cursor(UnlearnCursor::kPhaseUnlearn);
+    for (int round = resume ? resume->rounds_done : 0; round < max_rounds; ++round) {
+      if (round >= config_.unlearn_rounds) {
         nn::load_state(*scratch_model_, current);
         if (forget_accuracy(forget_union) <= config_.unlearn_target_accuracy) break;
       }
-      PhaseStats step;
-      current = run_phase(current, forget, 1, config_.unlearn_lr,
-                          nn::UpdateDirection::kAscent, 1.0f, &step, callback);
-      accumulated.cost += step.cost;
-      ++rounds_run;
-      if (cursor_callback) {
-        cursor_callback(UnlearnCursor{.phase = UnlearnCursor::kPhaseUnlearn,
-                                      .rounds_done = rounds_run},
-                        current);
-      }
+      current = run_rounds(current, forget, round, round + 1, config_.unlearn_lr,
+                           nn::UpdateDirection::kAscent, 1.0f, rng, sga, callback, sga_cursor);
     }
-    accumulated.seconds = timer.seconds();
-    accumulated.rounds = rounds_run - (resume_sga ? resume->rounds_done : 0);
-    accumulated.data_size = fl::total_samples(forget);
-    if (unlearn_stats) *unlearn_stats = accumulated;
-  } else {
-    fl::RoundCursorCallback sga_cursor;
-    if (cursor_callback) {
-      sga_cursor = [&](int round, const nn::ModelState& s, const Rng& rng) {
-        cursor_callback(UnlearnCursor{.phase = UnlearnCursor::kPhaseUnlearn,
-                                      .rounds_done = round + 1,
-                                      .rng_state = rng.serialize()},
-                        s);
-      };
-    }
-    const int start_round = resume_sga ? resume->rounds_done : 0;
-    const std::vector<std::uint8_t>* rng_state =
-        resume_sga && !resume->rng_state.empty() ? &resume->rng_state : nullptr;
-    current = run_phase(state, forget, config_.unlearn_rounds, config_.unlearn_lr,
-                        nn::UpdateDirection::kAscent, 1.0f, unlearn_stats, callback, start_round,
-                        rng_state, sga_cursor);
+    sga.seconds = timer.seconds();
+    sga.data_size = fl::total_samples(forget);
   }
+  if (unlearn_stats) *unlearn_stats = sga;
 
   // Recovery rounds: SGD on the augmented synthetic retain sets.
   const auto retain = retain_datasets(batch);
   if (fl::total_samples(retain) > 0) {
-    fl::RoundCursorCallback recover_cursor;
-    if (cursor_callback) {
-      recover_cursor = [&](int round, const nn::ModelState& s, const Rng& rng) {
-        cursor_callback(UnlearnCursor{.phase = UnlearnCursor::kPhaseRecover,
-                                      .rounds_done = round + 1,
-                                      .rng_state = rng.serialize()},
-                        s);
-      };
-    }
-    const int start_round = resume_recovery ? resume->rounds_done : 0;
-    const std::vector<std::uint8_t>* rng_state =
-        resume_recovery && !resume->rng_state.empty() ? &resume->rng_state : nullptr;
-    current = run_phase(current, retain, config_.recovery_rounds, config_.recover_lr,
-                        nn::UpdateDirection::kDescent, config_.participation, recovery_stats,
-                        callback, start_round, rng_state, recover_cursor);
+    const Timer timer;
+    PhaseStats recovery;
+    Rng rng = phase_rng(UnlearnCursor::kPhaseRecover);
+    current = run_rounds(current, retain, resume_recovery ? resume->rounds_done : 0,
+                         config_.recovery_rounds, config_.recover_lr,
+                         nn::UpdateDirection::kDescent, config_.participation, rng, recovery,
+                         callback, report_cursor(UnlearnCursor::kPhaseRecover));
+    recovery.seconds = timer.seconds();
+    if (recovery_stats) *recovery_stats = recovery;
   }
 
   for (const auto& request : batch) mark_forgotten(request);
@@ -291,14 +263,19 @@ nn::ModelState QuickDrop::unlearn_batch(const nn::ModelState& state,
 
 nn::ModelState QuickDrop::relearn(const nn::ModelState& state, const UnlearningRequest& request,
                                   PhaseStats* stats) {
-  const auto forget = forget_datasets(request);
+  const auto forget = forget_datasets({request});
   if (fl::total_samples(forget) == 0) {
     throw std::invalid_argument("QuickDrop::relearn: no synthetic data for " +
                                 request.to_string());
   }
-  nn::ModelState current = run_phase(state, forget, config_.relearn_rounds, config_.relearn_lr,
-                                     nn::UpdateDirection::kDescent, config_.participation, stats,
-                                     {});
+  const Timer timer;
+  PhaseStats relearn;
+  Rng rng = rng_.split(0xE0);
+  nn::ModelState current = run_rounds(state, forget, 0, config_.relearn_rounds,
+                                      config_.relearn_lr, nn::UpdateDirection::kDescent,
+                                      config_.participation, rng, relearn, {});
+  relearn.seconds = timer.seconds();
+  if (stats) *stats = relearn;
   if (request.kind == UnlearningRequest::Kind::kClass) {
     forgotten_classes_.erase(request.target);
   } else {

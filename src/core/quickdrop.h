@@ -34,9 +34,11 @@ struct QuickDropConfig {
 
   // Unlearning / recovery / relearning (Algorithm 1 on synthetic data).
   int unlearn_rounds = 1;
-  /// Verified unlearning: when > 0, SGA rounds repeat (up to this cap) until
-  /// the model's accuracy on the synthetic forget set falls below
-  /// `unlearn_target_accuracy`. One round suffices in the paper's regime
+  /// Verified unlearning: when greater than `unlearn_rounds`, SGA runs more
+  /// rounds of the same phase (up to this cap) until the model's accuracy on
+  /// the synthetic forget set falls to `unlearn_target_accuracy`; the check
+  /// runs between rounds once `unlearn_rounds` are done. Any smaller value
+  /// runs exactly `unlearn_rounds`. One round suffices in the paper's regime
   /// (§4.2.1), but late requests in a long sequence (Fig. 4's tail, when
   /// almost no retain data remains to assist) can need more.
   int max_unlearn_rounds = 0;
@@ -82,8 +84,8 @@ struct TrainResume {
 /// Position inside an interrupted unlearn/recover cycle, reported after every
 /// completed round so a killed service can resume a request mid-flight (see
 /// serve/executor.h). `rng_state` is the phase RNG entering the next round;
-/// it is empty on the verified-SGA path, whose iterations re-derive their RNG
-/// from the coordinator seed and therefore need only `rounds_done`.
+/// every reported cursor carries it, and a resume cursor without it is
+/// refused.
 struct UnlearnCursor {
   static constexpr int kPhaseUnlearn = 0;
   static constexpr int kPhaseRecover = 1;
@@ -199,25 +201,15 @@ class QuickDrop {
   [[nodiscard]] const std::vector<data::Dataset>& client_train() const { return client_train_; }
   [[nodiscard]] const QuickDropConfig& config() const { return config_; }
 
-  /// Per-client synthetic forget counterparts S_f for a request (empty
-  /// datasets for uninvolved clients).
-  [[nodiscard]] std::vector<data::Dataset> forget_datasets(const UnlearningRequest& request) const;
-
-  /// Batched S_f: the per-client union of every request's forget counterpart
-  /// (a client targeted by a client-level request contributes its whole
-  /// store exactly once, even when class-level requests overlap it).
+  /// Per-client synthetic forget counterparts S_f of a batch (empty datasets
+  /// for uninvolved clients): the per-client union of every request's forget
+  /// counterpart (a client targeted by a client-level request contributes its
+  /// whole store exactly once, even when class-level requests overlap it).
   [[nodiscard]] std::vector<data::Dataset> forget_datasets(
       const std::vector<UnlearningRequest>& batch) const;
 
   /// Per-client recovery datasets: synthetic data of everything not
-  /// currently forgotten (excluding `request`'s target), augmented per
-  /// config. Pass nullptr to build the retain sets for the current
-  /// forgotten-state only.
-  [[nodiscard]] std::vector<data::Dataset> retain_datasets(
-      const UnlearningRequest* request) const;
-
-  /// Batched retain sets: excludes every already-forgotten target plus every
-  /// target in `batch`.
+  /// currently forgotten and not targeted by `batch`, augmented per config.
   [[nodiscard]] std::vector<data::Dataset> retain_datasets(
       const std::vector<UnlearningRequest>& batch) const;
 
@@ -226,19 +218,18 @@ class QuickDrop {
   /// the verified-unlearning loop.
   [[nodiscard]] double forget_accuracy(const data::Dataset& dataset);
 
-  /// Runs FedAvg rounds over per-client datasets with the given
-  /// direction/lr; fills `stats`.
-  /// Unlearning runs at 100% participation; recovery and relearning reuse
-  /// the training participation rate (paper §4.5). `start_round`/`resume_rng`
-  /// splice into a phase interrupted after `start_round` rounds (resume_rng
-  /// is the serialized phase RNG from the matching cursor; nullptr derives a
-  /// fresh tagged stream); `cursor_callback` exposes per-round cursors.
-  nn::ModelState run_phase(const nn::ModelState& start,
-                           const std::vector<data::Dataset>& client_data, int rounds, float lr,
-                           nn::UpdateDirection direction, float participation, PhaseStats* stats,
-                           const fl::RoundCallback& callback, int start_round = 0,
-                           const std::vector<std::uint8_t>* resume_rng = nullptr,
-                           const fl::RoundCursorCallback& cursor_callback = {});
+  /// Runs rounds [first_round, end_round) of one FedAvg phase over per-client
+  /// datasets with the given direction/lr, drawing from (and advancing) the
+  /// phase RNG `rng`, and adds their cost and count to `stats`. Unlearning
+  /// runs at 100% participation; recovery and relearning reuse the training
+  /// participation rate (paper §4.5). `cursor_callback` exposes per-round
+  /// cursors.
+  nn::ModelState run_rounds(const nn::ModelState& start,
+                            const std::vector<data::Dataset>& client_data, int first_round,
+                            int end_round, float lr, nn::UpdateDirection direction,
+                            float participation, Rng& rng, PhaseStats& stats,
+                            const fl::RoundCallback& callback,
+                            const fl::RoundCursorCallback& cursor_callback = {});
 
   fl::ModelFactory factory_;
   std::vector<data::Dataset> client_train_;

@@ -5,7 +5,9 @@
 // round (core/quickdrop.h). `durable_cursor_callback` turns that stream into
 // committed store records — each round individually durable, keyed by
 // (layout hash, kRecordUnlearnCursor, (phase<<32)|rounds_done) so the latest
-// key IS the temporally newest round. A service killed mid-request reopens
+// key IS the temporally newest round. Each record is a plain checkpoint
+// (core/checkpoint.h) whose RoundCursor holds the phase ("unlearn" or
+// "recover"), the rounds done in it and the phase RNG. A service killed mid-request reopens
 // the store, loads the last committed cursor + checkpoint with
 // `load_durable_cursor`, and resumes the in-flight cycle bit-identically to
 // an uninterrupted run (tests/store/durable_resume_test.cpp proves bitwise
@@ -40,7 +42,8 @@ core::UnlearnCursorCallback durable_cursor_callback(store::Store& store,
                                                     core::QuickDrop& quickdrop);
 
 /// Newest committed mid-request cursor for this deployment, or nullopt when
-/// no request was in flight.
+/// no request was in flight. A record that does not decode as a checkpoint
+/// with an "unlearn"/"recover" cursor throws store::StoreError.
 std::optional<DurableCursor> load_durable_cursor(store::Store& store,
                                                  std::uint64_t layout_hash);
 

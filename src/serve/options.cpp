@@ -24,7 +24,6 @@ ServeOptions parse_serve_options(CliFlags& flags) {
   o.trace_seed = static_cast<std::uint64_t>(flags.get_int("trace-seed", 0));
   o.policy = flags.get_string("policy", o.policy);
   o.max_batch = flags.get_int("max-batch", o.max_batch);
-  o.resume = flags.get_bool("resume", o.resume);
   o.sec_per_round = flags.get_double("sec-per-round", o.sec_per_round);
   o.sec_per_grad = flags.get_double("sec-per-grad", o.sec_per_grad);
   o.dump_trace = flags.get_string("dump-trace", o.dump_trace);
@@ -83,28 +82,15 @@ ServeOptions parse_serve_options(CliFlags& flags) {
         throw OptionsError(flag, "conflicts with --listen (HTTP requests arrive live)");
       }
     }
-    if (!o.dump_trace.empty()) {
-      throw OptionsError("dump-trace", "conflicts with --listen");
+    // The HTTP loop runs until the process is killed, so nothing would
+    // ever be written to these files.
+    for (const char* flag : {"dump-trace", "json", "out"}) {
+      if (flags.has(flag)) throw OptionsError(flag, "conflicts with --listen");
     }
   } else if (flags.has("tenants")) {
     throw OptionsError("tenants", "only meaningful with --listen");
   }
   return o;
-}
-
-void validate_resume_policy(const ServeOptions& options,
-                            const std::map<std::string, std::string>& metadata) {
-  if (!options.resume) return;
-  const auto it = metadata.find(kServePolicyKey);
-  if (it == metadata.end()) {
-    throw OptionsError("resume",
-                       "checkpoint records no serve policy (was it written by serve --out?)");
-  }
-  if (it->second != options.policy) {
-    throw OptionsError("resume", "checkpoint was served with policy '" + it->second +
-                                     "' but this run requests '" + options.policy +
-                                     "'; re-run with --policy " + it->second);
-  }
 }
 
 }  // namespace quickdrop::serve

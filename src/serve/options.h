@@ -6,12 +6,10 @@
 // OptionsError naming the offending flag, and is unit-testable without
 // invoking the binary. Cross-flag conflicts (e.g. --trace together with
 // trace-generation knobs, --listen together with trace knobs) are rejected
-// eagerly, and `serve --resume` refuses to continue a run under a different
-// scheduler policy than the checkpoint records.
+// eagerly.
 #pragma once
 
 #include <cstdint>
-#include <map>
 #include <stdexcept>
 #include <string>
 #include <utility>
@@ -19,10 +17,6 @@
 #include "util/cli.h"
 
 namespace quickdrop::serve {
-
-/// Checkpoint-metadata key where `serve --out` records its scheduler policy,
-/// and which `serve --resume` validates against.
-inline constexpr const char* kServePolicyKey = "serve_policy";
 
 /// A rejected flag value or combination. `flag` is the offending flag
 /// without the leading dashes.
@@ -45,7 +39,6 @@ struct ServeOptions {
   // Scheduling.
   std::string policy = "coalesce";
   int max_batch = 1;  ///< coalescing cap, 0 = unlimited; only with coalesce
-  bool resume = false;  ///< validate policy against the checkpoint's record
   // Cost model.
   double sec_per_round = 2.0;
   double sec_per_grad = 1e-4;
@@ -62,11 +55,5 @@ struct ServeOptions {
 /// or conflicting combinations; leaves unknown-flag detection to the
 /// caller's flags.check_unused().
 ServeOptions parse_serve_options(CliFlags& flags);
-
-/// `serve --resume` gate: the checkpoint must record the same scheduler
-/// policy the run requests. Throws OptionsError otherwise (including when
-/// the checkpoint predates policy recording).
-void validate_resume_policy(const ServeOptions& options,
-                            const std::map<std::string, std::string>& metadata);
 
 }  // namespace quickdrop::serve

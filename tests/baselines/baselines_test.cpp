@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cstring>
 
 #include "baselines/federaser.h"
 #include "baselines/fump.h"
@@ -222,6 +223,26 @@ TEST(QuickDropMethodTest, RelearnUsesSyntheticData) {
   // Synthetic forget set is far smaller than the original class data.
   const auto original = original_forget(w.fed, core::UnlearningRequest::for_class(1));
   EXPECT_LT(report.data_size, fl::total_samples(original));
+}
+
+TEST(QuickDropMethodTest, AfterUnlearnIsTheStateAfterTheLastSgaRound) {
+  // With a near-zero learning rate, verified SGA exhausts its cap; with no
+  // recovery rounds, the state after SGA is the final state.
+  MiniWorld w;
+  auto cfg = w.fed.quickdrop->config();
+  cfg.recovery_rounds = 0;
+  cfg.unlearn_lr = 1e-6f;
+  cfg.max_unlearn_rounds = 3;
+  auto verified = std::make_shared<core::QuickDrop>(w.fed.factory, w.fed.client_train(), cfg, 1);
+  verified->load_stores(w.fed.quickdrop->stores());
+  w.fed.quickdrop = verified;
+  const auto out =
+      QuickDropMethod(w.config()).unlearn(w.fed, core::UnlearningRequest::for_class(1));
+  EXPECT_EQ(out.unlearn.rounds, 3);
+  ASSERT_EQ(out.after_unlearn.numel(), out.state.numel());
+  EXPECT_EQ(std::memcmp(out.after_unlearn.data().data(), out.state.data().data(),
+                        out.state.data().size_bytes()),
+            0);
 }
 
 TEST(RegistryTest, NamesAndErrors) {

@@ -4,6 +4,8 @@
 // the benches measure the real numbers.
 #include <gtest/gtest.h>
 
+#include <cstring>
+
 #include "core/quickdrop.h"
 #include "data/partition.h"
 #include "data/synthetic.h"
@@ -146,8 +148,7 @@ TEST(QuickDropTest, SequentialRequestsExcludeForgottenFromRetain) {
   auto state = qd.train();
   state = qd.unlearn(state, UnlearningRequest::for_class(0));
   // Retain sets for a second request must not contain class 0.
-  const auto req = UnlearningRequest::for_class(1);
-  const auto retain = qd.retain_datasets(&req);
+  const auto retain = qd.retain_datasets({UnlearningRequest::for_class(1)});
   for (const auto& d : retain) {
     for (int i = 0; i < d.size(); ++i) {
       EXPECT_NE(d.label(i), 0);
@@ -163,12 +164,12 @@ TEST(QuickDropTest, SequentialRequestsExcludeForgottenFromRetain) {
 TEST(QuickDropTest, ForgetDatasetsShapes) {
   MiniFederation fed;
   QuickDrop qd(fed.factory, fed.clients, fed.config(), 99);
-  const auto by_class = qd.forget_datasets(UnlearningRequest::for_class(3));
+  const auto by_class = qd.forget_datasets({UnlearningRequest::for_class(3)});
   ASSERT_EQ(by_class.size(), fed.clients.size());
   for (std::size_t i = 0; i < by_class.size(); ++i) {
     EXPECT_EQ(by_class[i].size(), qd.stores()[i].class_count(3));
   }
-  const auto by_client = qd.forget_datasets(UnlearningRequest::for_client(1));
+  const auto by_client = qd.forget_datasets({UnlearningRequest::for_client(1)});
   EXPECT_EQ(by_client[1].size(), qd.stores()[1].total_samples());
   EXPECT_EQ(by_client[0].size(), 0);
 }
@@ -188,9 +189,9 @@ TEST(QuickDropTest, AugmentationToggleChangesRetainSize) {
   QuickDrop with(fed.factory, fed.clients, cfg, 99);
   cfg.augment_recovery = false;
   QuickDrop without(fed.factory, fed.clients, cfg, 99);
-  const auto req = UnlearningRequest::for_class(0);
-  EXPECT_EQ(fl::total_samples(with.retain_datasets(&req)),
-            2 * fl::total_samples(without.retain_datasets(&req)));
+  const std::vector<UnlearningRequest> batch = {UnlearningRequest::for_class(0)};
+  EXPECT_EQ(fl::total_samples(with.retain_datasets(batch)),
+            2 * fl::total_samples(without.retain_datasets(batch)));
 }
 
 TEST(QuickDropTest, PartialParticipationTrainsAndUnlearns) {
@@ -231,6 +232,53 @@ TEST(QuickDropTest, VerifiedUnlearningRunsExtraRoundsWhenNeeded) {
   PhaseStats us;
   qd.unlearn(trained, UnlearningRequest::for_class(2), &us);
   EXPECT_EQ(us.rounds, 3);
+}
+
+TEST(QuickDropTest, VerifiedUnlearningRunsPastARoundLostToAFault) {
+  // Paper Algorithm 1: an SGA round is a FedAvg round, so a round lost to a
+  // fault is followed by the next round of the phase, not replayed. The plan
+  // crashes the only client of a client-level request in SGA round 0 and
+  // spares it in round 1, so verified SGA must still apply an update.
+  MiniFederation fed;
+  auto cfg = fed.config();
+  cfg.max_unlearn_rounds = 3;
+  QuickDrop trainer(fed.factory, fed.clients, cfg, 99);
+  const auto trained = trainer.train();
+
+  constexpr int kClient = 1;
+  for (std::uint64_t seed = 1;; ++seed) {
+    cfg.faults = fl::FaultPlan(seed, fl::FaultRates{.crash = 0.5f});
+    if (cfg.faults.fault_for(0, 0, kClient) == fl::FaultKind::kCrash &&
+        cfg.faults.fault_for(1, 0, kClient) == fl::FaultKind::kNone) {
+      break;
+    }
+  }
+  QuickDrop qd(fed.factory, fed.clients, cfg, 99);
+  qd.load_stores(trainer.stores());
+  PhaseStats us;
+  nn::ModelState after_sga;
+  qd.unlearn_batch(trained, {UnlearningRequest::for_client(kClient)}, &us, nullptr, {},
+                   [&](const UnlearnCursor& cursor, const nn::ModelState& state) {
+                     EXPECT_FALSE(cursor.rng_state.empty());
+                     if (cursor.phase == UnlearnCursor::kPhaseUnlearn) after_sga = state;
+                   });
+  EXPECT_GE(us.cost.lost_rounds, 1);
+  EXPECT_GE(us.cost.rounds - us.cost.lost_rounds, 1) << "no SGA round was accepted";
+  ASSERT_FALSE(after_sga.empty());
+  ASSERT_EQ(after_sga.numel(), trained.numel());
+  EXPECT_NE(std::memcmp(after_sga.data().data(), trained.data().data(),
+                        trained.data().size_bytes()),
+            0)
+      << "the post-SGA state is the input state";
+}
+
+TEST(QuickDropTest, ResumeCursorWithoutRngStateIsRefused) {
+  MiniFederation fed;
+  QuickDrop qd(fed.factory, fed.clients, fed.config(), 99);
+  const UnlearnCursor resume{.phase = UnlearnCursor::kPhaseUnlearn, .rounds_done = 0};
+  EXPECT_THROW(qd.unlearn_batch(qd.initial_state(), {UnlearningRequest::for_class(0)}, nullptr,
+                                nullptr, {}, {}, &resume),
+               std::invalid_argument);
 }
 
 TEST(QuickDropTest, RejectsEmptyFederation) {

@@ -1,9 +1,7 @@
-// Typed CLI validation for `serve`: every OptionsError path — bad values,
-// cross-flag conflicts and the --resume policy gate — exercised without
-// invoking the binary.
+// Typed CLI validation for `serve`: every OptionsError path — bad values and
+// cross-flag conflicts — exercised without invoking the binary.
 #include <gtest/gtest.h>
 
-#include <map>
 #include <string>
 #include <vector>
 
@@ -45,17 +43,21 @@ TEST(ServeOptions, DefaultsParseClean) {
   EXPECT_EQ(o.listen_port, -1);
   EXPECT_FALSE(o.trace_seed_set);
 
-  // The removed wire front end's flags are unknown now: a stale script that
-  // still passes one fails loudly instead of running in-process.
-  std::vector<std::string> args = {"prog", "--transport", "loopback"};
-  auto argv = make_argv(args);
-  CliFlags flags(static_cast<int>(argv.size()), argv.data());
-  (void)parse_serve_options(flags);
-  try {
-    flags.check_unused();
-    ADD_FAILURE() << "--transport was accepted";
-  } catch (const std::invalid_argument& e) {
-    EXPECT_NE(std::string(e.what()).find("--transport"), std::string::npos) << e.what();
+  // Removed flags are unknown now: a stale script that still passes the wire
+  // front end's --transport or the deleted --resume gate fails loudly instead
+  // of running as if it took effect.
+  for (const char* removed : {"--transport=loopback", "--resume"}) {
+    std::vector<std::string> args = {"prog", removed};
+    auto argv = make_argv(args);
+    CliFlags flags(static_cast<int>(argv.size()), argv.data());
+    (void)parse_serve_options(flags);
+    const std::string name = std::string(removed).substr(0, std::string(removed).find('='));
+    try {
+      flags.check_unused();
+      ADD_FAILURE() << name << " was accepted";
+    } catch (const std::invalid_argument& e) {
+      EXPECT_NE(std::string(e.what()).find(name), std::string::npos) << e.what();
+    }
   }
 }
 
@@ -103,35 +105,14 @@ TEST(ServeOptions, ListenModeValidatesPortAndConflicts) {
   expect_serve_error({"--listen=8080", "--requests=3"}, "requests");
   expect_serve_error({"--listen=8080", "--trace-seed=1"}, "trace-seed");
   expect_serve_error({"--listen=8080", "--dump-trace=d.trace"}, "dump-trace");
+  // The HTTP loop never returns, so these outputs would never be written.
+  expect_serve_error({"--listen=8080", "--out=served.qdcp"}, "out");
+  expect_serve_error({"--listen=8080", "--json=service.json"}, "json");
 }
 
 TEST(ServeOptions, TenantsRequireListenMode) {
   expect_serve_error({"--tenants=a=1"}, "tenants");
   EXPECT_EQ(parse_serve({"--listen=8080", "--tenants=a=1"}).tenants_spec, "a=1");
-}
-
-TEST(ServeOptions, ResumePolicyGate) {
-  ServeOptions o;
-  o.policy = "coalesce";
-
-  // Not resuming: any metadata passes.
-  o.resume = false;
-  EXPECT_NO_THROW(validate_resume_policy(o, {}));
-
-  o.resume = true;
-  // Checkpoint predates policy recording.
-  EXPECT_THROW(validate_resume_policy(o, {}), OptionsError);
-  // Policy mismatch names the recorded policy in the message; a checkpoint
-  // served under the removed fifo policy is such a mismatch.
-  try {
-    validate_resume_policy(o, {{kServePolicyKey, "fifo"}});
-    ADD_FAILURE() << "expected policy-mismatch OptionsError";
-  } catch (const OptionsError& e) {
-    EXPECT_EQ(e.flag, "resume");
-    EXPECT_NE(std::string(e.what()).find("'fifo'"), std::string::npos);
-  }
-  // Matching policy resumes.
-  EXPECT_NO_THROW(validate_resume_policy(o, {{kServePolicyKey, "coalesce"}}));
 }
 
 }  // namespace

@@ -112,10 +112,10 @@ core::Checkpoint train_once() {
 
 /// A fresh coordinator (same seed, no training) with the deployment's stores
 /// restored — how a restarted process reconstructs its serving state.
-std::shared_ptr<core::QuickDrop> restored_coordinator(const core::Checkpoint& cp) {
+std::shared_ptr<core::QuickDrop> restored_coordinator(
+    const core::Checkpoint& cp, const core::QuickDropConfig& config = MiniFederation::config()) {
   MiniFederation fed;
-  auto qd = std::make_shared<core::QuickDrop>(fed.factory, fed.clients,
-                                              MiniFederation::config(), 99);
+  auto qd = std::make_shared<core::QuickDrop>(fed.factory, fed.clients, config, 99);
   qd->load_stores(core::restore_stores(cp));
   return qd;
 }
@@ -199,6 +199,76 @@ TEST(DurableResumeTest, KilledMidCycleResumesBitwiseAtOneAndFourThreads) {
   EXPECT_FALSE(load_durable_cursor(cleared, hash).has_value());
 }
 
+TEST(DurableResumeTest, KilledMidVerifiedSgaUnderFaultsResumesBitwise) {
+  // Verified SGA as the CLI runs it (up to 4 rounds, early stop), under a
+  // fault plan that crashes the only client of a client-level request in SGA
+  // round 0 but not in round 1. The store dies while committing an SGA round
+  // >= 1, and the cycle resumes from the newest surviving cursor.
+  ThreadGuard guard;
+  const auto deployment = train_once();
+  const auto hash = core::checkpoint_layout_hash(deployment);
+  constexpr int kClient = 1;
+  auto config = MiniFederation::config();
+  config.unlearn_rounds = 1;
+  config.max_unlearn_rounds = 4;
+  for (std::uint64_t seed = 1;; ++seed) {
+    config.faults = fl::FaultPlan(seed, fl::FaultRates{.crash = 0.5f});
+    if (config.faults.fault_for(0, 0, kClient) == fl::FaultKind::kCrash &&
+        config.faults.fault_for(1, 0, kClient) == fl::FaultKind::kNone) {
+      break;
+    }
+  }
+  ServiceRequest request;
+  request.kind = RequestKind::kClient;
+  request.target = kClient;
+
+  set_num_threads(1);
+  auto qd_full = restored_coordinator(deployment, config);
+  const auto full = Executor(qd_full, CostModel{}).execute(deployment.global, {request});
+  ASSERT_GE(full.unlearn_stats.cost.lost_rounds, 1);
+  ASSERT_GE(full.unlearn_stats.rounds, 2);
+  const int total_rounds = full.unlearn_stats.rounds + full.recovery_stats.rounds;
+
+  // Kill the store at successive fsyncs until the newest committed cursor is
+  // an SGA round >= 1 of a cycle that died.
+  const auto path = temp_store("killed_verified.qds");
+  std::optional<DurableCursor> durable;
+  for (int at_sync = 1; !durable && at_sync <= 64; ++at_sync) {
+    std::remove(path.c_str());
+    bool died = false;
+    try {
+      auto qd = restored_coordinator(deployment, config);
+      store::Store store(path, dying_factory(at_sync));
+      Executor(qd, CostModel{}).execute(deployment.global, {request},
+                                        durable_cursor_callback(store, *qd));
+    } catch (const store::StoreError&) {
+      died = true;
+    }
+    store::Store reopened(path);
+    auto loaded = load_durable_cursor(reopened, hash);
+    if (died && loaded && loaded->cursor.phase == core::UnlearnCursor::kPhaseUnlearn &&
+        loaded->cursor.rounds_done >= 1) {
+      durable = std::move(loaded);
+    }
+  }
+  ASSERT_TRUE(durable.has_value()) << "no kill point left a committed SGA round >= 1";
+  ASSERT_LT(durable->cursor.rounds_done, full.unlearn_stats.rounds) << "SGA was not mid-flight";
+  EXPECT_EQ(durable->cursor.rng_state.size(), Rng::kSerializedSize);
+
+  for (const int threads : {1, 4}) {
+    set_num_threads(threads);
+    auto qd = restored_coordinator(durable->checkpoint, config);
+    const auto resumed = Executor(qd, CostModel{})
+                             .execute(durable->checkpoint.global, {request}, {},
+                                      &durable->cursor);
+    expect_states_bitwise_equal(full.state, resumed.state,
+                                threads == 1 ? "resume @1 thread" : "resume @4 threads");
+    EXPECT_EQ(resumed.unlearn_stats.rounds + resumed.recovery_stats.rounds,
+              total_rounds - durable->cursor.rounds_done)
+        << "resume must execute exactly the remaining rounds";
+  }
+}
+
 TEST(DurableResumeTest, SequentialUnlearningThroughStoreMatchesUninterrupted) {
   // Fig. 4's regime: requests served one after another, forgotten state
   // accumulating. The store-backed history saves a full checkpoint after each
@@ -264,10 +334,11 @@ TEST(DurableResumeTest, SequentialUnlearningThroughStoreMatchesUninterrupted) {
 }
 
 TEST(DurableResumeTest, StaleCursorRecordIsRefusedUntilCleared) {
-  // A cursor record in an earlier build's layout (the v2 magic carried two
-  // extra words) must not be parsed under today's layout: loading refuses it
-  // and names the remedy, and clearing the stale cursors lets a fresh request
-  // proceed.
+  // A cursor record that is not a checkpoint with an "unlearn"/"recover"
+  // cursor must not be resumed: the previous build's own "QDUC" v3 wrapper,
+  // a checkpoint with no cursor and one whose cursor names another phase are
+  // all refused with the remedy named, and clearing the stale cursors lets a
+  // fresh request proceed.
   ThreadGuard guard;
   set_num_threads(1);
   const auto deployment = train_once();
@@ -282,18 +353,39 @@ TEST(DurableResumeTest, StaleCursorRecordIsRefusedUntilCleared) {
 
   const auto key = store.latest(hash, core::kRecordUnlearnCursor);
   ASSERT_TRUE(key.has_value());
-  auto body = store.get(*key);
-  constexpr std::uint64_t kCursorMagicV2 = 0x51445543'00000002ULL;  // "QDUC" v2
-  for (std::size_t i = 0; i < 8; ++i) {
-    body[i] = static_cast<std::uint8_t>(kCursorMagicV2 >> (8 * i));
-  }
-  store.put(*key, body);
-  store.commit();
-  try {
-    (void)load_durable_cursor(store, hash);
-    ADD_FAILURE() << "a v2 cursor record was resumed";
-  } catch (const store::StoreError& e) {
-    EXPECT_NE(std::string(e.what()).find("clear stale cursors"), std::string::npos) << e.what();
+  const auto record = store.get(*key);
+  auto cp = core::deserialize_checkpoint(record);
+  ASSERT_TRUE(cp.cursor.has_value());
+  EXPECT_EQ(cp.cursor->phase, "recover");
+
+  // Magic, phase, rounds, rng length + bytes, checkpoint length + bytes.
+  std::vector<std::uint8_t> v3;
+  auto put_u64 = [&v3](std::uint64_t v) {
+    for (int i = 0; i < 8; ++i) v3.push_back(static_cast<std::uint8_t>(v >> (8 * i)));
+  };
+  put_u64(0x51445543'00000003ULL);
+  put_u64(core::UnlearnCursor::kPhaseRecover);
+  put_u64(static_cast<std::uint64_t>(cp.cursor->rounds_done));
+  put_u64(cp.cursor->rng_state.size());
+  v3.insert(v3.end(), cp.cursor->rng_state.begin(), cp.cursor->rng_state.end());
+  auto no_cursor = cp;
+  no_cursor.cursor.reset();
+  const auto no_cursor_bytes = core::serialize_checkpoint(no_cursor);
+  put_u64(no_cursor_bytes.size());
+  v3.insert(v3.end(), no_cursor_bytes.begin(), no_cursor_bytes.end());
+  auto train_phase = cp;
+  train_phase.cursor->phase = "train";
+
+  for (const auto& stale : {v3, no_cursor_bytes, core::serialize_checkpoint(train_phase)}) {
+    store.put(*key, stale);
+    store.commit();
+    try {
+      (void)load_durable_cursor(store, hash);
+      ADD_FAILURE() << "a stale cursor record was resumed";
+    } catch (const store::StoreError& e) {
+      EXPECT_NE(std::string(e.what()).find("clear stale cursors"), std::string::npos)
+          << e.what();
+    }
   }
 
   clear_durable_cursors(store, hash);

@@ -445,7 +445,6 @@ int cmd_serve(qd::CliFlags& flags) {
   auto cp = qd::core::load_checkpoint(options.checkpoint);
   auto fed = build(FedSpec::from_metadata(cp.metadata));
   fed.quickdrop->load_stores(qd::core::restore_stores(cp));
-  qd::serve::validate_resume_policy(options, cp.metadata);
 
   qd::serve::ServiceConfig config;
   config.policy = qd::serve::policy_from_name(options.policy);
@@ -528,7 +527,6 @@ int cmd_serve(qd::CliFlags& flags) {
   if (!options.out.empty()) {
     auto new_cp = qd::core::make_checkpoint(service.state(), quickdrop->stores());
     new_cp.metadata = cp.metadata;
-    new_cp.metadata[qd::serve::kServePolicyKey] = options.policy;
     write_checkpoint(new_cp, options.out, fed.spec.rounds);
   }
   return 0;
@@ -548,7 +546,7 @@ int usage() {
                "  serve   --checkpoint FILE [--trace FILE | --requests N --arrival-rate SECS]\n"
                "          [--policy priority|coalesce] [--max-batch N (coalesce; default 1,\n"
                "          0 = unlimited)] [--trace-seed S]\n"
-               "          [--dump-trace FILE] [--json FILE] [--out FILE] [--resume]\n"
+               "          [--dump-trace FILE] [--json FILE] [--out FILE]\n"
                "          [--sec-per-round S] [--sec-per-grad S]\n"
                "          [--listen PORT [--tenants name=token,...]]  (HTTP instead of a trace)\n"
                "  inspect --checkpoint FILE\n"
