@@ -130,6 +130,83 @@ void BM_Col2ImConvNet(benchmark::State& state) {
 }
 BENCHMARK(BM_Col2ImConvNet)->Arg(32);
 
+// --- The memory-bound kernels on the perfbench fixture's shapes (batch 10,
+// --- width 16, 12x12 images, so 6x6 after the first pool): args are
+// --- {n, c, h} for [n,c,h,h] images.
+
+void BM_BroadcastNorm(benchmark::State& state) {
+  // InstanceNorm's statistics spread back over the image: [n,c,1,1] -> [n,c,h,h].
+  const auto n = state.range(0), c = state.range(1), h = state.range(2);
+  qd::Rng rng(1);
+  const auto s = qd::Tensor::randn({n, c, 1, 1}, rng);
+  for (auto _ : state) benchmark::DoNotOptimize(k::broadcast_to(s, {n, c, h, h}));
+  state.SetItemsProcessed(state.iterations() * n * c * h * h);
+}
+BENCHMARK(BM_BroadcastNorm)->ArgNames({"n", "c", "h"})->Args({10, 16, 12})->Args({10, 16, 6});
+
+void BM_ReduceNorm(benchmark::State& state) {
+  // Its adjoint, and the statistics themselves: [n,c,h,h] -> [n,c,1,1].
+  const auto n = state.range(0), c = state.range(1), h = state.range(2);
+  qd::Rng rng(1);
+  const auto x = qd::Tensor::randn({n, c, h, h}, rng);
+  for (auto _ : state) benchmark::DoNotOptimize(k::reduce_sum_to(x, {n, c, 1, 1}));
+  state.SetItemsProcessed(state.iterations() * x.numel());
+}
+BENCHMARK(BM_ReduceNorm)->ArgNames({"n", "c", "h"})->Args({10, 16, 12})->Args({10, 16, 6});
+
+void BM_Im2ColFixture(benchmark::State& state) {
+  const auto n = state.range(0), c = state.range(1), h = state.range(2);
+  qd::Rng rng(1);
+  const auto x = qd::Tensor::randn({n, c, h, h}, rng);
+  for (auto _ : state) benchmark::DoNotOptimize(k::im2col(x, 3, 1, 1));
+  state.SetItemsProcessed(state.iterations() * 9 * x.numel());
+}
+BENCHMARK(BM_Im2ColFixture)->ArgNames({"n", "c", "h"})->Args({10, 3, 12})->Args({10, 16, 6});
+
+void BM_Col2ImFixture(benchmark::State& state) {
+  const auto n = state.range(0), c = state.range(1), h = state.range(2);
+  qd::Rng rng(1);
+  const auto cols = qd::Tensor::randn({c * 9, n * h * h}, rng);
+  for (auto _ : state) benchmark::DoNotOptimize(k::col2im(cols, {n, c, h, h}, 3, 1, 1));
+  state.SetItemsProcessed(state.iterations() * cols.numel());
+}
+BENCHMARK(BM_Col2ImFixture)->ArgNames({"n", "c", "h"})->Args({10, 3, 12})->Args({10, 16, 6});
+
+void BM_SumPool2dFixture(benchmark::State& state) {
+  const auto n = state.range(0), c = state.range(1), h = state.range(2);
+  qd::Rng rng(1);
+  const auto x = qd::Tensor::randn({n, c, h, h}, rng);
+  for (auto _ : state) benchmark::DoNotOptimize(k::sum_pool2d(x, 2));
+  state.SetItemsProcessed(state.iterations() * x.numel());
+}
+BENCHMARK(BM_SumPool2dFixture)->ArgNames({"n", "c", "h"})->Args({10, 16, 12})->Args({10, 16, 6});
+
+void BM_SpreadPool2dFixture(benchmark::State& state) {
+  // h is the pooled input's side; the output is [n,c,2h,2h].
+  const auto n = state.range(0), c = state.range(1), h = state.range(2);
+  qd::Rng rng(1);
+  const auto g = qd::Tensor::randn({n, c, h, h}, rng);
+  for (auto _ : state) benchmark::DoNotOptimize(k::spread_pool2d(g, 2));
+  state.SetItemsProcessed(state.iterations() * g.numel() * 4);
+}
+BENCHMARK(BM_SpreadPool2dFixture)->ArgNames({"n", "c", "h"})->Args({10, 16, 6})->Args({10, 16, 3});
+
+void BM_SqrtFixture(benchmark::State& state) {
+  const auto n = state.range(0), c = state.range(1), h = state.range(2);
+  qd::Rng rng(1);
+  const auto x = k::relu(qd::Tensor::randn({n, c, h, h}, rng));
+  for (auto _ : state) benchmark::DoNotOptimize(k::sqrt(x));
+  state.SetItemsProcessed(state.iterations() * x.numel());
+}
+BENCHMARK(BM_SqrtFixture)->ArgNames({"n", "c", "h"})->Args({10, 16, 12});
+
+void BM_FullFixture(benchmark::State& state) {
+  const auto n = state.range(0), c = state.range(1), h = state.range(2);
+  for (auto _ : state) benchmark::DoNotOptimize(qd::Tensor::full({n, c, h, h}, 0.5f));
+  state.SetItemsProcessed(state.iterations() * n * c * h * h);
+}
+BENCHMARK(BM_FullFixture)->ArgNames({"n", "c", "h"})->Args({10, 16, 12});
+
 qd::nn::ConvNetConfig bench_net() {
   qd::nn::ConvNetConfig cfg;
   cfg.in_channels = 3;

@@ -57,26 +57,9 @@ TSAN_TESTS=(util_test tensor_test autograd_test nn_test fl_test serve_test net_t
 } 2>&1 | tee tsan_output.txt
 echo "tsan pass exit: ${PIPESTATUS[0]}" | tee -a tsan_output.txt
 
-# Request-service replay check: a short trained checkpoint + generated trace,
-# replayed at 1 and 4 threads — the service's metrics JSON and the final
-# model checkpoint must both be bitwise identical (see DESIGN.md §10).
-{
-  SERVE_DIR="$(mktemp -d)"
-  "$BUILD"/tools/quickdrop_cli train --dataset mnist --clients 4 --rounds 5 --width 8 \
-    --out "$SERVE_DIR/model.qdcp" &&
-  "$BUILD"/tools/quickdrop_cli serve --checkpoint "$SERVE_DIR/model.qdcp" \
-    --requests 4 --arrival-rate 10 --policy coalesce --max-batch 0 --sec-per-round 40 \
-    --dump-trace "$SERVE_DIR/trace.txt" --json "$SERVE_DIR/replay1.json" \
-    --out "$SERVE_DIR/served1.qdcp" --threads 1 &&
-  "$BUILD"/tools/quickdrop_cli serve --checkpoint "$SERVE_DIR/model.qdcp" \
-    --trace "$SERVE_DIR/trace.txt" --policy coalesce --max-batch 0 --sec-per-round 40 \
-    --json "$SERVE_DIR/replay4.json" --out "$SERVE_DIR/served4.qdcp" --threads 4 &&
-  cmp "$SERVE_DIR/replay1.json" "$SERVE_DIR/replay4.json" &&
-  cmp "$SERVE_DIR/served1.qdcp" "$SERVE_DIR/served4.qdcp" &&
-  echo "serve replay: metrics + model bitwise identical at 1 vs 4 threads"
-  rm -rf "$SERVE_DIR"
-} 2>&1 | tee serve_replay_output.txt
-echo "serve replay exit: ${PIPESTATUS[0]}" | tee -a serve_replay_output.txt
+# The request-service 1-vs-4-thread replay check (metrics JSON and served
+# checkpoint `cmp`-identical) runs in the ctest pass above as
+# cli_serve_bitwise_across_threads (tests/cli/serve_threads_test.cmake).
 
 : > bench_output.txt
 for b in "$BUILD"/bench/*; do

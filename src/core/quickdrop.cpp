@@ -219,7 +219,8 @@ nn::ModelState QuickDrop::unlearn_batch(const nn::ModelState& state,
     // phase, so a lost round is followed by the next round, not replayed.
     // Verified unlearning (max_unlearn_rounds > unlearn_rounds) checks the
     // synthetic forget set between rounds once the minimum rounds are done
-    // and stops as soon as it is erased.
+    // and stops as soon as it is erased; a phase that runs out of rounds
+    // measures the model it ended with, so the miss is reported.
     const Timer timer;
     const int max_rounds = std::max(config_.unlearn_rounds, config_.max_unlearn_rounds);
     data::Dataset forget_union(forget.front().image_shape(), forget.front().num_classes());
@@ -230,14 +231,18 @@ nn::ModelState QuickDrop::unlearn_batch(const nn::ModelState& state,
     }
     Rng rng = phase_rng(UnlearnCursor::kPhaseUnlearn);
     const auto sga_cursor = report_cursor(UnlearnCursor::kPhaseUnlearn);
+    const auto check = [&] {
+      nn::load_state(*scratch_model_, current);
+      sga.forget_accuracy = forget_accuracy(forget_union);
+      sga.target_reached = *sga.forget_accuracy <= config_.unlearn_target_accuracy;
+      return sga.target_reached;
+    };
     for (int round = resume ? resume->rounds_done : 0; round < max_rounds; ++round) {
-      if (round >= config_.unlearn_rounds) {
-        nn::load_state(*scratch_model_, current);
-        if (forget_accuracy(forget_union) <= config_.unlearn_target_accuracy) break;
-      }
+      if (round >= config_.unlearn_rounds && check()) break;
       current = run_rounds(current, forget, round, round + 1, config_.unlearn_lr,
                            nn::UpdateDirection::kAscent, 1.0f, rng, sga, callback, sga_cursor);
     }
+    if (max_rounds > config_.unlearn_rounds && !sga.target_reached) check();
     sga.seconds = timer.seconds();
     sga.data_size = fl::total_samples(forget);
   }

@@ -7,6 +7,7 @@
 // what has been forgotten so recovery never reintroduces erased knowledge.
 #pragma once
 
+#include <optional>
 #include <set>
 
 #include "core/finetune.h"
@@ -70,6 +71,12 @@ struct PhaseStats {
   fl::CostMeter cost;
   std::int64_t data_size = 0;  ///< samples involved per round of this phase
   int rounds = 0;
+  /// Verified unlearning (max_unlearn_rounds > unlearn_rounds) only: the
+  /// synthetic forget-set accuracy of the model the SGA phase ended with,
+  /// and whether it reached unlearn_target_accuracy within the round cap. A
+  /// fixed-round phase measures nothing and leaves forget_accuracy empty.
+  std::optional<float> forget_accuracy;
+  bool target_reached = false;
 };
 
 /// Resume point for an interrupted train() run: the cursor of the last

@@ -78,7 +78,10 @@ std::string ServiceReport::to_json() const {
         << ", \"recovery_rounds\": " << m.recovery_rounds << ", \"bytes_up\": " << m.bytes_up
         << ", \"bytes_down\": " << m.bytes_down << ", \"batch_size\": " << m.batch_size
         << ", \"cycle\": " << m.cycle << ", \"fset_accuracy\": " << json_double(m.fset_accuracy)
-        << ", \"rset_accuracy\": " << json_double(m.rset_accuracy) << "}"
+        << ", \"rset_accuracy\": " << json_double(m.rset_accuracy)
+        << ", \"sga_forget_accuracy\": " << json_double(m.sga_forget_accuracy)
+        << ", \"sga_target_reached\": "
+        << (m.sga_forget_accuracy < 0.0 ? "null" : m.sga_target_reached ? "true" : "false") << "}"
         << (i + 1 < completed.size() ? "," : "") << "\n";
   }
   out << "  ],\n";

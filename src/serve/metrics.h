@@ -30,6 +30,11 @@ struct RequestMetrics {
   int cycle = 0;       ///< 0-based index of the cycle that served it
   double fset_accuracy = -1.0;  ///< post-cycle accuracy on the forget set (-1 = not evaluated)
   double rset_accuracy = -1.0;  ///< post-cycle accuracy on the retained classes
+  /// Verified SGA only (shared across the cycle's batch): the synthetic
+  /// forget-set accuracy SGA ended at (-1 = fixed rounds, not measured) and
+  /// whether it reached the target before the round cap.
+  double sga_forget_accuracy = -1.0;
+  bool sga_target_reached = false;
 
   [[nodiscard]] double queue_wait() const { return start_seconds - arrival_seconds; }
   [[nodiscard]] double latency() const { return completion_seconds - arrival_seconds; }

@@ -71,6 +71,11 @@ std::span<const RequestMetrics> UnlearningService::run_cycle() {
   auto result = executor_.execute(state_, batch, config_.cursor_callback);
   state_ = std::move(result.state);
   clock += result.sim_seconds;
+  const auto& sga = result.unlearn_stats;
+  if (sga.forget_accuracy && !sga.target_reached) {
+    QD_LOG_WARN << "serve: cycle " << report_.cycles << " ran out of SGA rounds at synthetic "
+                << "forget accuracy " << *sga.forget_accuracy << ", above the target";
+  }
 
   const std::size_t first = report_.completed.size();
   for (const auto& request : batch) {
@@ -88,6 +93,10 @@ std::span<const RequestMetrics> UnlearningService::run_cycle() {
         result.unlearn_stats.cost.bytes_down + result.recovery_stats.cost.bytes_down;
     metrics.batch_size = static_cast<int>(batch.size());
     metrics.cycle = report_.cycles;
+    if (sga.forget_accuracy) {
+      metrics.sga_forget_accuracy = *sga.forget_accuracy;
+      metrics.sga_target_reached = sga.target_reached;
+    }
     if (config_.evaluator) config_.evaluator(request, state_, metrics);
     report_.completed.push_back(metrics);
   }

@@ -5,7 +5,6 @@
 #include <cstring>
 #include <stdexcept>
 #include <string>
-#include <type_traits>
 
 #include "tensor/simd.h"
 #include "util/thread_pool.h"
@@ -16,11 +15,11 @@
 // by the chunk layout. Results are therefore bit-identical at any thread
 // count, including the serial fallback at 1 thread.
 //
-// Outputs: the pure maps and gathers (binary_op, map_runs, gather,
+// Outputs: the pure maps and gathers (binary_op, map_runs, gather, im2col,
 // spread_pool2d) and the kernels that start each sum from +0 in a register
-// (the packed GEMM, sum_pool2d) write every output element, so they start
-// from an uninitialized tensor; the accumulating kernels (reduce_sum_to,
-// col2im) and im2col, whose padding is never written, start from zeros.
+// (the packed GEMM, col2im, sum_pool2d) write every output element, so they
+// start from an uninitialized tensor; reduce_sum_to, whose kept-innermost
+// rows accumulate in place, starts from zeros.
 //
 // Contiguous runs: the broadcast, gather and reduction kernels first
 // coalesce their index space (merge adjacent dims every operand walks
@@ -37,12 +36,13 @@ constexpr int kMaxDims = 16;
 
 /// A row-major index lattice (dims outer to inner) walked by `Ops` operands,
 /// each with its own element stride per dim (0 where it is broadcast).
-/// Fixed-size, so building one allocates nothing.
+/// Fixed-size, so building one allocates nothing; only dims below `rank`
+/// are ever set or read, so the arrays start unset.
 template <int Ops>
 struct Walk {
   int rank = 0;
-  std::int64_t extent[kMaxDims] = {};
-  std::int64_t stride[Ops][kMaxDims] = {};
+  std::int64_t extent[kMaxDims];
+  std::int64_t stride[Ops][kMaxDims];
 };
 
 /// A walk over the lattice of `shape`, strides still unset.
@@ -144,6 +144,7 @@ Tensor gather(const Tensor& a, Walk<1> w, const Shape& out_shape) {
   if (out.numel() == 0) return out;
   coalesce(w);
   const std::int64_t s = w.stride[0][w.rank - 1];
+  const auto fill = simd::active().fill;
   const float* da = a.data().data();
   float* od = out.data().data();
   ThreadPool::global().parallel_for(
@@ -156,7 +157,7 @@ Tensor gather(const Tensor& a, Walk<1> w, const Shape& out_shape) {
           if (s == 1) {
             std::copy(x, x + len, o);
           } else if (s == 0) {
-            std::fill(o, o + len, *x);
+            fill(o, *x, len);
           } else {
             for (std::int64_t i = 0; i < len; ++i) o[i] = x[i * s];
           }
@@ -166,20 +167,31 @@ Tensor gather(const Tensor& a, Walk<1> w, const Shape& out_shape) {
 }
 
 Tensor binary_op(const Tensor& a, const Tensor& b, simd::BinaryOp op, const char* name) {
+  const auto& kern = simd::active();
+  const float* da = a.data().data();
+  const float* db = b.data().data();
+  if (a.shape() == b.shape()) {  // one flat run: no walk to build
+    Tensor out = Tensor::uninitialized(a.shape());
+    float* od = out.data().data();
+    const auto vv = kern.binary[op];
+    ThreadPool::global().parallel_for(
+        // qdlint: shared-write(each chunk writes its own disjoint od[lo,hi) slice)
+        0, out.numel(), grain_for(1), [&](std::int64_t lo, std::int64_t hi) {
+          vv(od + lo, da + lo, db + lo, hi - lo);
+        });
+    return out;
+  }
   Shape out_shape;
-  if (a.shape() == b.shape()) {
-    out_shape = a.shape();
-  } else {
-    try {
-      out_shape = broadcast_shapes(a.shape(), b.shape());
-    } catch (const std::invalid_argument&) {
-      throw std::invalid_argument(std::string(name) + ": cannot broadcast " +
-                                  shape_to_string(a.shape()) + " with " +
-                                  shape_to_string(b.shape()));
-    }
+  try {
+    out_shape = broadcast_shapes(a.shape(), b.shape());
+  } catch (const std::invalid_argument&) {
+    throw std::invalid_argument(std::string(name) + ": cannot broadcast " +
+                                shape_to_string(a.shape()) + " with " +
+                                shape_to_string(b.shape()));
   }
   Tensor out = Tensor::uninitialized(out_shape);
   if (out.numel() == 0) return out;
+  float* od = out.data().data();
   auto w = walk_over<2>(out_shape);
   set_broadcast_strides(w, 0, a.shape());
   set_broadcast_strides(w, 1, b.shape());
@@ -189,13 +201,9 @@ Tensor binary_op(const Tensor& a, const Tensor& b, simd::BinaryOp op, const char
   // Hence three run shapes: both runs, a run against a right scalar, a left
   // scalar against a run.
   const std::int64_t sa = w.stride[0][w.rank - 1], sb = w.stride[1][w.rank - 1];
-  const auto& kern = simd::active();
   const auto vv = kern.binary[op];
   const auto vs = kern.binary_rs[op];
   const auto sv = kern.binary_ls[op];
-  const float* da = a.data().data();
-  const float* db = b.data().data();
-  float* od = out.data().data();
   ThreadPool::global().parallel_for(
       // qdlint: shared-write(each chunk writes its own disjoint od[lo,hi) slice)
       0, out.numel(), grain_for(1), [&](std::int64_t lo, std::int64_t hi) {
@@ -248,9 +256,7 @@ Tensor exp(const Tensor& a) {
 Tensor log(const Tensor& a) {
   return unary_op(a, [](float x) { return std::log(x); });
 }
-Tensor sqrt(const Tensor& a) {
-  return unary_op(a, [](float x) { return std::sqrt(x); });
-}
+Tensor sqrt(const Tensor& a) { return map_runs(a, simd::active().sqrt); }
 Tensor relu(const Tensor& a) { return map_runs(a, simd::active().relu); }
 Tensor gt_zero_mask(const Tensor& a) { return map_runs(a, simd::active().relu_mask); }
 
@@ -496,24 +502,22 @@ struct Reduction {
   std::int64_t count = 0;
 };
 
-/// Sums G outputs at once: out[g] = the sum of x[base[g] + r] over the
+/// Sums eight outputs at once: out[g] = the sum of x[base[g] + r] over the
 /// reduced lattice (innermost dim contiguous), r in increasing order,
-/// starting from +0. The G chains are independent — interleaving them only
-/// hides add latency; each one is the serial left-to-right sum.
-template <int G>
-void sum_lattice(const float* x, const std::int64_t* base, const Walk<1>& red, float* out) {
-  float acc[G] = {};
-  const float* p[G] = {};
+/// starting from +0, for g < count. The eight chains are independent lanes
+/// of the dispatched sum_rows8, one call per run of the reduced lattice; a
+/// group of fewer than eight outputs repeats its last row in the spare lanes
+/// and keeps only its own.
+void sum_group(decltype(simd::Kernels::sum_rows8) sum_rows8, const float* x,
+               const std::int64_t* base, int count, const Walk<1>& red, float* out) {
+  float acc[8] = {};
+  const float* rows[8];
   const std::int64_t run = red.extent[red.rank - 1];
   std::int64_t idx[kMaxDims] = {};
   std::int64_t roff = 0;
   for (;;) {
-#pragma GCC unroll 8
-    for (int g = 0; g < G; ++g) p[g] = x + base[g] + roff;
-    for (std::int64_t i = 0; i < run; ++i) {
-#pragma GCC unroll 8
-      for (int g = 0; g < G; ++g) acc[g] += p[g][i];
-    }
+    for (int g = 0; g < 8; ++g) rows[g] = x + base[g < count ? g : count - 1] + roff;
+    sum_rows8(acc, rows, run);
     int d = red.rank - 2;
     for (; d >= 0; --d) {
       ++idx[d];
@@ -524,17 +528,15 @@ void sum_lattice(const float* x, const std::int64_t* base, const Walk<1>& red, f
     }
     if (d < 0) break;
   }
-#pragma GCC unroll 8
-  for (int g = 0; g < G; ++g) out[g] = acc[g];
+  std::copy(acc, acc + count, out);
 }
 
 /// Outputs [lo, hi) of a reduction whose innermost dim is reduced: each
-/// output sums contiguous input runs; eight consecutive outputs are summed
-/// together as independent chains.
+/// output sums contiguous input runs, eight consecutive outputs at a time.
 void reduce_inner_runs(const Reduction& r, const float* x, float* out, std::int64_t lo,
                        std::int64_t hi) {
-  constexpr int kGroup = 8;
-  std::int64_t bases[kGroup] = {};
+  const auto sum_rows8 = simd::active().sum_rows8;
+  std::int64_t bases[8];
   int filled = 0;
   std::int64_t first = lo;
   const std::int64_t ks = r.kept.stride[0][r.kept.rank - 1];
@@ -542,13 +544,13 @@ void reduce_inner_runs(const Reduction& r, const float* x, float* out, std::int6
     for (std::int64_t t = 0; t < len; ++t) {
       if (filled == 0) first = flat + t;
       bases[filled++] = base[0] + t * ks;
-      if (filled == kGroup) {
-        sum_lattice<kGroup>(x, bases, r.red, out + first);
+      if (filled == 8) {
+        sum_group(sum_rows8, x, bases, 8, r.red, out + first);
         filled = 0;
       }
     }
   });
-  for (int g = 0; g < filled; ++g) sum_lattice<1>(x, bases + g, r.red, out + first + g);
+  if (filled > 0) sum_group(sum_rows8, x, bases, filled, r.red, out + first);
 }
 
 /// Outputs [lo, hi) of a reduction whose innermost dim is kept (e.g. bias
@@ -607,6 +609,7 @@ Tensor reduce_sum_to(const Tensor& a, const Shape& target_shape) {
   if (r.kept.rank == 0) {  // a full reduction: one output at base offset 0
     r.kept.rank = 1;
     r.kept.extent[0] = 1;
+    r.kept.stride[0][0] = 0;
   }
   const bool inner_kept = w.stride[1][w.rank - 1] != 0;
   ThreadPool::global().parallel_for(
@@ -633,125 +636,72 @@ Tensor broadcast_to(const Tensor& a, const Shape& shape) {
 }
 
 namespace {
-void check_conv_geometry(const Shape& image_shape, int k, int pad, int stride) {
+/// The geometry of a k x k, zero-padded convolution over `image_shape`'s
+/// planes, validated.
+simd::ConvGeometry conv_geometry(const Shape& image_shape, int k, int pad, int stride) {
   if (image_shape.size() != 4) throw std::invalid_argument("im2col: input must be [N,C,H,W]");
   if (k <= 0 || pad < 0 || stride <= 0) throw std::invalid_argument("im2col: bad geometry");
   const std::int64_t h = image_shape[2], w = image_shape[3];
   if (h + 2 * pad < k || w + 2 * pad < k) {
     throw std::invalid_argument("im2col: kernel larger than padded input");
   }
-}
-
-/// The output positions o in [0, count) whose input coordinate
-/// o * stride + shift lies inside [0, size): a half-open range [lo, hi),
-/// empty when lo >= hi. Everything outside it reads the zero padding.
-struct Inside {
-  std::int64_t lo, hi;
-};
-Inside inside(std::int64_t shift, std::int64_t stride, std::int64_t size, std::int64_t count) {
-  const std::int64_t lo = shift >= 0 ? 0 : (-shift + stride - 1) / stride;
-  const std::int64_t hi = size - 1 - shift < 0 ? 0 : (size - 1 - shift) / stride + 1;
-  return {std::min(lo, count), std::min(hi, count)};
+  return {.h = h,
+          .w = w,
+          .k = k,
+          .pad = pad,
+          .stride = stride,
+          .oh = (h + 2 * pad - k) / stride + 1,
+          .ow = (w + 2 * pad - k) / stride + 1};
 }
 }  // namespace
 
 Tensor im2col(const Tensor& x, int k, int pad, int stride) {
-  check_conv_geometry(x.shape(), k, pad, stride);
-  const std::int64_t n = x.dim(0), c = x.dim(1), h = x.dim(2), w = x.dim(3);
-  const std::int64_t oh = (h + 2 * pad - k) / stride + 1;
-  const std::int64_t ow = (w + 2 * pad - k) / stride + 1;
-  Tensor cols({c * k * k, n * oh * ow});
+  const simd::ConvGeometry g = conv_geometry(x.shape(), k, pad, stride);
+  const std::int64_t n = x.dim(0), c = x.dim(1);
+  const std::int64_t col_width = n * g.oh * g.ow;
+  Tensor cols = Tensor::uninitialized({c * k * k, col_width});
   const float* dx = x.data().data();
   float* dc = cols.data().data();
-  const std::int64_t col_width = n * oh * ow;
+  const auto im2col_row = simd::active().im2col_row;
   // Partitioned over output rows (one per (ci, ki, kj)); each row is a
-  // disjoint slice of `cols`, written by pure gathers. `cols` starts zeroed,
-  // so the padding border needs no writes and the interior is a branch-free
-  // copy.
+  // disjoint slice of `cols`, one [oh][ow] grid per image, written whole,
+  // zero padding included, in one dispatched call.
   ThreadPool::global().parallel_for(
       // qdlint: shared-write(each chunk owns cols rows [r0,r1); dx is read-only)
       0, c * k * k, grain_for(col_width), [&](std::int64_t r0, std::int64_t r1) {
         for (std::int64_t row = r0; row < r1; ++row) {
           const std::int64_t ci = row / (k * k);
-          const std::int64_t ki = (row / k) % k;
-          const std::int64_t kj = row % k;
-          const Inside ys = inside(ki - pad, stride, h, oh);
-          const Inside xs = inside(kj - pad, stride, w, ow);
-          if (xs.lo >= xs.hi) continue;
-          float* out_row = dc + row * col_width;
-          for (std::int64_t ni = 0; ni < n; ++ni) {
-            const float* img = dx + (ni * c + ci) * h * w;
-            for (std::int64_t y = ys.lo; y < ys.hi; ++y) {
-              const float* src = img + (y * stride + ki - pad) * w + xs.lo * stride + kj - pad;
-              float* dst = out_row + (ni * oh + y) * ow + xs.lo;
-              const std::int64_t len = xs.hi - xs.lo;
-              if (stride == 1) {
-                std::copy(src, src + len, dst);
-              } else {
-                for (std::int64_t t = 0; t < len; ++t) dst[t] = src[t * stride];
-              }
-            }
-          }
+          im2col_row(dc + row * col_width, dx + ci * g.h * g.w, n, c * g.h * g.w, g,
+                     (row / k) % k, row % k);
         }
       });
   return cols;
 }
 
 Tensor col2im(const Tensor& cols, const Shape& image_shape, int k, int pad, int stride) {
-  check_conv_geometry(image_shape, k, pad, stride);
-  const std::int64_t n = image_shape[0], c = image_shape[1], h = image_shape[2], w = image_shape[3];
-  const std::int64_t oh = (h + 2 * pad - k) / stride + 1;
-  const std::int64_t ow = (w + 2 * pad - k) / stride + 1;
-  if (cols.rank() != 2 || cols.dim(0) != c * k * k || cols.dim(1) != n * oh * ow) {
+  const simd::ConvGeometry g = conv_geometry(image_shape, k, pad, stride);
+  const std::int64_t n = image_shape[0], c = image_shape[1];
+  const std::int64_t col_width = n * g.oh * g.ow;
+  if (cols.rank() != 2 || cols.dim(0) != c * k * k || cols.dim(1) != col_width) {
     throw std::invalid_argument("col2im: columns shape mismatch " + shape_to_string(cols.shape()));
   }
-  Tensor out(image_shape);
+  Tensor out = Tensor::uninitialized(image_shape);
   const float* dc = cols.data().data();
   float* od = out.data().data();
-  const std::int64_t col_width = n * oh * ow;
+  const auto col2im_plane = simd::active().col2im_plane;
   // Partitioned over output image planes (ni, ci): every output pixel
-  // belongs to exactly one plane, so the overlapping += accumulation is
-  // race-free, and each pixel receives its contributions in the fixed
-  // (ki, kj, y, xo) order regardless of how planes are distributed. Within
-  // one (ki, kj, y) the xo run touches distinct pixels, so it is added as
-  // one run, inline: the runs are image rows, too short to pay for a
-  // dispatched call. Padding positions are skipped by range, not by a
-  // branch.
+  // belongs to exactly one plane, so the overlapping accumulation is
+  // race-free, and each pixel sums its contributions from +0 in the fixed
+  // (ki, kj) order regardless of how planes are distributed. One dispatched
+  // call writes a whole plane.
   ThreadPool::global().parallel_for(
-      0, n * c, grain_for(static_cast<std::int64_t>(k) * k * oh * ow),
+      0, n * c, grain_for(static_cast<std::int64_t>(k) * k * g.oh * g.ow),
       // qdlint: shared-write(each chunk owns image planes [p0,p1); dc is read-only)
       [&](std::int64_t p0, std::int64_t p1) {
         for (std::int64_t p = p0; p < p1; ++p) {
-          const std::int64_t ni = p / c;
-          const std::int64_t ci = p % c;
-          float* img = od + p * h * w;
-          for (std::int64_t ki = 0; ki < k; ++ki) {
-            const Inside ys = inside(ki - pad, stride, h, oh);
-            for (std::int64_t kj = 0; kj < k; ++kj) {
-              const Inside xs = inside(kj - pad, stride, w, ow);
-              if (xs.lo >= xs.hi) continue;
-              const std::int64_t len = xs.hi - xs.lo;
-              const float* in_row = dc + ((ci * k + ki) * k + kj) * col_width;
-              for (std::int64_t y = ys.lo; y < ys.hi; ++y) {
-                float* dst = img + (y * stride + ki - pad) * w + xs.lo * stride + kj - pad;
-                const float* src = in_row + (ni * oh + y) * ow + xs.lo;
-                if (stride == 1) {
-                  // Unrolled four wide, so the compiler pairs the adds into
-                  // vector adds; each element still gets one add.
-                  std::int64_t t = 0;
-                  for (; t + 4 <= len; t += 4) {
-                    dst[t] += src[t];
-                    dst[t + 1] += src[t + 1];
-                    dst[t + 2] += src[t + 2];
-                    dst[t + 3] += src[t + 3];
-                  }
-                  for (; t < len; ++t) dst[t] += src[t];
-                } else {
-                  for (std::int64_t t = 0; t < len; ++t) dst[t * stride] += src[t];
-                }
-              }
-            }
-          }
+          const std::int64_t ni = p / c, ci = p % c;
+          col2im_plane(od + p * g.h * g.w, dc + (ci * k * k * col_width + ni * g.oh * g.ow),
+                       col_width, g);
         }
       });
   return out;
@@ -765,46 +715,24 @@ void check_pool_geometry(const Shape& shape, int k, const char* name) {
                                 std::to_string(k));
   }
 }
-
-/// Calls body(k) with k as a compile-time constant for the ConvNet's 2x2
-/// pooling, so the window loops unroll, and as a runtime value otherwise.
-template <typename Body>
-void with_window(std::int64_t k, Body&& body) {
-  if (k == 2) {
-    body(std::integral_constant<std::int64_t, 2>{});
-  } else {
-    body(k);
-  }
-}
 }  // namespace
 
 Tensor sum_pool2d(const Tensor& x, int k) {
   check_pool_geometry(x.shape(), k, "sum_pool2d");
-  const std::int64_t h = x.dim(2), w = x.dim(3), oh = h / k, ow = w / k;
-  Tensor out = Tensor::uninitialized({x.dim(0), x.dim(1), oh, ow});
+  const std::int64_t w = x.dim(3), ow = w / k;
+  Tensor out = Tensor::uninitialized({x.dim(0), x.dim(1), x.dim(2) / k, ow});
   const float* dx = x.data().data();
   float* od = out.data().data();
+  const auto pool = simd::active().sum_pool;
   // Partitioned over output rows (plane, oy). Each window sums from +0 in
   // row-major (ki, kj) order: the increasing input-flat order in which
   // reduce_sum_to sums [N,C,OH,k,OW,k] down to [N,C,OH,1,OW,1].
-  with_window(k, [&](auto kk) {
-    ThreadPool::global().parallel_for(
-        0, out.numel() / std::max<std::int64_t>(ow, 1), grain_for(kk * w),
-        // qdlint: shared-write(each chunk owns output rows [r0,r1); dx is read-only)
-        [&](std::int64_t r0, std::int64_t r1) {
-          for (std::int64_t row = r0; row < r1; ++row) {
-            float* o = od + row * ow;
-            const float* in = dx + row * kk * w;  // input rows k*row .. k*row + k - 1
-            for (std::int64_t ox = 0; ox < ow; ++ox, in += kk) {
-              float acc = 0.0f;
-              for (std::int64_t ki = 0; ki < kk; ++ki) {
-                for (std::int64_t kj = 0; kj < kk; ++kj) acc += in[ki * w + kj];
-              }
-              o[ox] = acc;
-            }
-          }
-        });
-  });
+  ThreadPool::global().parallel_for(
+      0, out.numel() / std::max<std::int64_t>(ow, 1), grain_for(k * w),
+      // qdlint: shared-write(each chunk owns output rows [r0,r1); dx is read-only)
+      [&](std::int64_t r0, std::int64_t r1) {
+        pool(od + r0 * ow, dx + r0 * k * w, r1 - r0, ow, k);
+      });
   return out;
 }
 
@@ -817,26 +745,17 @@ Tensor spread_pool2d(const Tensor& g, int k) {
   Tensor out = Tensor::uninitialized({g.dim(0), g.dim(1), g.dim(2) * k, w});
   const float* dg = g.data().data();
   float* od = out.data().data();
+  const auto spread = simd::active().spread_pool;
   // A pure copy, partitioned over input rows: each fills the k output rows
   // its window row covers.
-  with_window(k, [&](auto kk) {
-    ThreadPool::global().parallel_for(
-        0, g.numel() / std::max<std::int64_t>(ow, 1), grain_for(kk * w),
-        // qdlint: shared-write(each chunk owns the output rows of input rows [r0,r1))
-        [&](std::int64_t r0, std::int64_t r1) {
-          for (std::int64_t row = r0; row < r1; ++row) {
-            const float* src = dg + row * ow;
-            float* o = od + row * kk * w;
-            for (std::int64_t ox = 0; ox < ow; ++ox) {
-              for (std::int64_t kj = 0; kj < kk; ++kj) o[ox * kk + kj] = src[ox];
-            }
-            for (std::int64_t ki = 1; ki < kk; ++ki) std::copy(o, o + w, o + ki * w);
-          }
-        });
-  });
+  ThreadPool::global().parallel_for(
+      0, g.numel() / std::max<std::int64_t>(ow, 1), grain_for(k * w),
+      // qdlint: shared-write(each chunk owns the output rows of input rows [r0,r1))
+      [&](std::int64_t r0, std::int64_t r1) {
+        spread(od + r0 * k * w, dg + r0 * ow, r1 - r0, ow, k);
+      });
   return out;
 }
-
 Tensor row_max(const Tensor& a) {
   if (a.rank() != 2) throw std::invalid_argument("row_max: rank must be 2");
   const std::int64_t n = a.dim(0), c = a.dim(1);

@@ -2,6 +2,7 @@
 
 #include <atomic>
 #include <bit>
+#include <cmath>
 #include <cstdint>
 #include <cstdlib>
 #include <cstring>
@@ -100,6 +101,83 @@ void relu_mask_scalar(float* o, const float* a, std::int64_t n) {
 void neg_scalar(float* o, const float* a, std::int64_t n) {
   for (std::int64_t i = 0; i < n; ++i) {
     o[i] = std::bit_cast<float>(std::bit_cast<std::uint32_t>(a[i]) ^ 0x80000000u);
+  }
+}
+
+void sqrt_scalar(float* o, const float* a, std::int64_t n) {
+  for (std::int64_t i = 0; i < n; ++i) o[i] = std::sqrt(a[i]);
+}
+
+void fill_scalar(float* o, float v, std::int64_t n) {
+  for (std::int64_t i = 0; i < n; ++i) o[i] = v;
+}
+
+void sum_rows8_scalar(float* acc, const float* const* rows, std::int64_t n) {
+  float s[8];
+  for (int g = 0; g < 8; ++g) s[g] = acc[g];
+  for (std::int64_t i = 0; i < n; ++i) {
+    for (int g = 0; g < 8; ++g) s[g] += rows[g][i];
+  }
+  for (int g = 0; g < 8; ++g) acc[g] = s[g];
+}
+
+void im2col_row_scalar(float* o, const float* x, std::int64_t images,
+                       std::int64_t image_stride, const ConvGeometry& g, std::int64_t ki,
+                       std::int64_t kj) {
+  const InRange ys = in_range(ki - g.pad, g.stride, g.h, g.oh);
+  const InRange xs = in_range(kj - g.pad, g.stride, g.w, g.ow);
+  for (std::int64_t i = 0; i < images; ++i) {
+    const float* img = x + i * image_stride;
+    for (std::int64_t y = 0; y < g.oh; ++y) {
+      float* row = o + (i * g.oh + y) * g.ow;
+      for (std::int64_t t = 0; t < g.ow; ++t) {
+        const bool reads = y >= ys.lo && y < ys.hi && t >= xs.lo && t < xs.hi;
+        row[t] = reads ? img[(y * g.stride + ki - g.pad) * g.w + t * g.stride + kj - g.pad] : 0.0f;
+      }
+    }
+  }
+}
+
+void col2im_plane_scalar(float* o, const float* cols, std::int64_t offset_stride,
+                         const ConvGeometry& g) {
+  for (std::int64_t i = 0; i < g.h * g.w; ++i) o[i] = 0.0f;
+  for (std::int64_t ki = 0; ki < g.k; ++ki) {
+    const InRange ys = in_range(ki - g.pad, g.stride, g.h, g.oh);
+    for (std::int64_t kj = 0; kj < g.k; ++kj) {
+      const InRange xs = in_range(kj - g.pad, g.stride, g.w, g.ow);
+      const float* src = cols + (ki * g.k + kj) * offset_stride;
+      for (std::int64_t y = ys.lo; y < ys.hi; ++y) {
+        for (std::int64_t t = xs.lo; t < xs.hi; ++t) {
+          o[(y * g.stride + ki - g.pad) * g.w + t * g.stride + kj - g.pad] += src[y * g.ow + t];
+        }
+      }
+    }
+  }
+}
+
+void sum_pool_scalar(float* o, const float* x, std::int64_t rows, std::int64_t ow,
+                     std::int64_t k) {
+  const std::int64_t w = ow * k;
+  for (std::int64_t r = 0; r < rows; ++r, o += ow, x += k * w) {
+    for (std::int64_t j = 0; j < ow; ++j) {
+      float acc = 0.0f;
+      for (std::int64_t a = 0; a < k; ++a) {
+        for (std::int64_t b = 0; b < k; ++b) acc += x[a * w + j * k + b];
+      }
+      o[j] = acc;
+    }
+  }
+}
+
+void spread_pool_scalar(float* o, const float* g, std::int64_t rows, std::int64_t ow,
+                        std::int64_t k) {
+  const std::int64_t w = ow * k;
+  for (std::int64_t r = 0; r < rows; ++r, g += ow, o += k * w) {
+    for (std::int64_t a = 0; a < k; ++a) {
+      for (std::int64_t j = 0; j < ow; ++j) {
+        for (std::int64_t b = 0; b < k; ++b) o[a * w + j * k + b] = g[j];
+      }
+    }
   }
 }
 
@@ -231,6 +309,13 @@ constexpr Kernels kScalarKernels = {
     .relu = relu_scalar,
     .relu_mask = relu_mask_scalar,
     .neg = neg_scalar,
+    .sqrt = sqrt_scalar,
+    .fill = fill_scalar,
+    .sum_rows8 = sum_rows8_scalar,
+    .im2col_row = im2col_row_scalar,
+    .col2im_plane = col2im_plane_scalar,
+    .sum_pool = sum_pool_scalar,
+    .spread_pool = spread_pool_scalar,
 };
 
 // ---- Dispatch ------------------------------------------------------------

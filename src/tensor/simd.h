@@ -9,9 +9,11 @@
 //
 // Bitwise-determinism contract (DESIGN.md §13): both paths must produce
 // bit-identical results for every kernel. Elementwise kernels (axpy, scale,
-// the binary, relu and neg runs, the weighted-average fold, the gemm4x8 tile)
-// keep each element's operation chain unchanged — vectorization only batches
-// independent chains — so parity is structural. The reductions (sum_squares,
+// the binary, relu, neg and sqrt runs, the weighted-average fold, the gemm4x8
+// tile, and the row, pixel and window sums of the tensor kernels) keep each
+// element's operation chain unchanged — vectorization only batches
+// independent chains — so parity is structural; fill, im2col_row and
+// spread_pool move bits without arithmetic. The reductions (sum_squares,
 // sum_squared_diff) are lane-structured: four independent double
 // accumulators over elements i ≡ 0..3 (mod 4), combined as
 // ((l0 + l2) + (l1 + l3)) + tail, which is exactly the fold an AVX2 4x64-bit
@@ -27,6 +29,26 @@ namespace quickdrop::simd {
 /// the QUICKDROP_SIMD environment variable ("off"/"scalar" forces the scalar
 /// oracle; "avx2" requests AVX2 and falls back to scalar when unsupported).
 enum class Dispatch : int { kAuto = 0, kScalar = 1, kAvx2 = 2 };
+
+/// A k x k convolution over one [h][w] image plane with zero padding `pad`
+/// and `stride`: output position (y, x) of kernel offset (ki, kj) reads
+/// pixel (y * stride + ki - pad, x * stride + kj - pad), for (y, x) in the
+/// [oh][ow] output grid; a pixel outside the plane reads as +0.
+struct ConvGeometry {
+  std::int64_t h, w, k, pad, stride, oh, ow;
+};
+
+/// The output positions o in [0, count) whose pixel o * stride + shift lies
+/// in [0, size): the half-open range [lo, hi), empty when lo >= hi.
+struct InRange {
+  std::int64_t lo, hi;
+};
+inline InRange in_range(std::int64_t shift, std::int64_t stride, std::int64_t size,
+                        std::int64_t count) {
+  const std::int64_t lo = shift >= 0 ? 0 : (-shift + stride - 1) / stride;
+  const std::int64_t hi = size - 1 - shift < 0 ? 0 : (size - 1 - shift) / stride + 1;
+  return {lo < count ? lo : count, hi < count ? hi : count};
+}
 
 /// The elementwise binary operators of the tensor kernels; indexes the
 /// `binary*` entries of a Kernels table.
@@ -84,6 +106,34 @@ struct Kernels {
   /// o[i] = -a[i] as an exact sign-bit flip: zeros, infinities, subnormals
   /// and NaN payloads keep every other bit.
   void (*neg)(float* o, const float* a, std::int64_t n);
+  /// o[i] = sqrt(a[i]). IEEE square root is correctly rounded, so one
+  /// instruction per lane gives the scalar call's bits.
+  void (*sqrt)(float* o, const float* a, std::int64_t n);
+  /// o[i] = v: the broadcast fill.
+  void (*fill)(float* o, float v, std::int64_t n);
+  /// acc[g] += rows[g][i] for g < 8, one i at a time in increasing order:
+  /// eight independent serial chains, each the left-to-right sum of its run.
+  void (*sum_rows8)(float* acc, const float* const* rows, std::int64_t n);
+  /// One im2col output row: kernel offset (ki, kj) of `images` image planes,
+  /// the first at x and each next one `image_stride` floats on. Image i
+  /// fills o[i * oh * ow, (i + 1) * oh * ow) with its [oh][ow] grid of the
+  /// pixels that offset reads, zero padding included.
+  void (*im2col_row)(float* o, const float* x, std::int64_t images, std::int64_t image_stride,
+                     const ConvGeometry& g, std::int64_t ki, std::int64_t kj);
+  /// col2im of one image plane o [h][w]: each pixel is +0 plus the column
+  /// values that land on it, added kernel offset by kernel offset in
+  /// row-major (ki, kj) order. Offset (ki, kj)'s [oh][ow] grid starts at
+  /// cols + (ki * k + kj) * offset_stride.
+  void (*col2im_plane)(float* o, const float* cols, std::int64_t offset_stride,
+                       const ConvGeometry& g);
+  /// o[r * ow + j] = the k x k window of x at rows r*k .. r*k + k - 1 (each
+  /// ow * k wide) and columns j*k .. j*k + k - 1, summed from +0 in
+  /// row-major order, for r < rows, j < ow.
+  void (*sum_pool)(float* o, const float* x, std::int64_t rows, std::int64_t ow,
+                   std::int64_t k);
+  /// The adjoint copy: g[r * ow + j] written over that same window of o.
+  void (*spread_pool)(float* o, const float* g, std::int64_t rows, std::int64_t ow,
+                      std::int64_t k);
 };
 
 /// The hand-tiled scalar oracle. Always available.

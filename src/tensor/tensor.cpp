@@ -4,6 +4,8 @@
 #include <cmath>
 #include <stdexcept>
 
+#include "tensor/simd.h"
+
 namespace quickdrop {
 namespace {
 
@@ -63,7 +65,7 @@ Tensor Tensor::reshaped(Shape new_shape) const {
   return Tensor(std::move(new_shape), data_, numel_);
 }
 
-void Tensor::fill(float value) { std::fill_n(data_.get(), numel_, value); }
+void Tensor::fill(float value) { simd::active().fill(data_.get(), value, numel_); }
 
 void Tensor::add_(const Tensor& other, float scale) {
   check_same_shape(shape_, other.shape_, "Tensor::add_");

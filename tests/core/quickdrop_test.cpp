@@ -100,6 +100,7 @@ TEST(QuickDropTest, ClassUnlearningErasesAndRecovers) {
   EXPECT_GT(rs.data_size, us.data_size);  // retain >> forget
   EXPECT_EQ(us.rounds, fed.config().unlearn_rounds);
   EXPECT_EQ(rs.rounds, fed.config().recovery_rounds);
+  EXPECT_FALSE(us.forget_accuracy.has_value()) << "fixed rounds measure nothing";
 }
 
 TEST(QuickDropTest, UnlearningUsesFarFewerSamplesThanOriginalData) {
@@ -218,6 +219,9 @@ TEST(QuickDropTest, VerifiedUnlearningStopsEarlyWhenErased) {
   EXPECT_GE(us.rounds, cfg.unlearn_rounds);
   EXPECT_LE(us.rounds, cfg.max_unlearn_rounds);
   EXPECT_LT(fed.acc(unlearned, {2}), 0.15);
+  ASSERT_TRUE(us.forget_accuracy.has_value());
+  EXPECT_TRUE(us.target_reached);
+  EXPECT_LE(*us.forget_accuracy, cfg.unlearn_target_accuracy);
 }
 
 TEST(QuickDropTest, VerifiedUnlearningRunsExtraRoundsWhenNeeded) {
@@ -232,6 +236,10 @@ TEST(QuickDropTest, VerifiedUnlearningRunsExtraRoundsWhenNeeded) {
   PhaseStats us;
   qd.unlearn(trained, UnlearningRequest::for_class(2), &us);
   EXPECT_EQ(us.rounds, 3);
+  // The cap ran out: the request reports the miss and where SGA stopped.
+  ASSERT_TRUE(us.forget_accuracy.has_value());
+  EXPECT_FALSE(us.target_reached);
+  EXPECT_GT(*us.forget_accuracy, cfg.unlearn_target_accuracy);
 }
 
 TEST(QuickDropTest, VerifiedUnlearningRunsPastARoundLostToAFault) {

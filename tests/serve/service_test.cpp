@@ -6,6 +6,7 @@
 
 #include <cstdint>
 #include <memory>
+#include <string>
 #include <vector>
 
 #include "core/checkpoint.h"
@@ -173,6 +174,28 @@ TEST(ServiceTest, RunBitIdenticalAcrossThreadCounts) {
   // The whole report — latencies, rounds, bytes — is simulated, so the JSON
   // must match byte for byte.
   EXPECT_EQ(serial.json, parallel.json);
+}
+
+TEST(ServiceTest, ReportCarriesTheVerifiedSgaOutcome) {
+  ThreadGuard guard;
+  // Fixed rounds measure nothing.
+  const auto fixed = run_service(0, 1, MiniFederation::config());
+  ASSERT_FALSE(fixed.report.completed.empty());
+  EXPECT_EQ(fixed.report.completed.front().sga_forget_accuracy, -1.0);
+  EXPECT_NE(fixed.json.find("\"sga_target_reached\": null"), std::string::npos);
+  // A learning rate too small to erase anything in two rounds: verified SGA
+  // runs out of rounds, and every request of the cycle says so.
+  auto cfg = MiniFederation::config();
+  cfg.unlearn_lr = 1e-6f;
+  cfg.unlearn_rounds = 1;
+  cfg.max_unlearn_rounds = 2;
+  const auto missed = run_service(0, 1, cfg);
+  ASSERT_FALSE(missed.report.completed.empty());
+  for (const auto& m : missed.report.completed) {
+    EXPECT_FALSE(m.sga_target_reached) << m.id;
+    EXPECT_GT(m.sga_forget_accuracy, cfg.unlearn_target_accuracy) << m.id;
+  }
+  EXPECT_NE(missed.json.find("\"sga_target_reached\": false"), std::string::npos);
 }
 
 TEST(ServiceTest, RunBitIdenticalAcrossThreadCountsUnderFaultPlan) {

@@ -191,6 +191,17 @@ TEST(KernelOracle, ReduceSumTo) {
       {{3, 7, 41, 61}, {}},                        // sum_all
       {{1, 7, 1, 5}, {7, 1, 5}},                   // only extent-1 dims differ
       {{9, 300, 5, 4}, {9, 1, 5, 1}},              // kept dims between reduced ones
+      // The eight-chain row sums: runs of 1-17 floats (not multiples of 8),
+      // output counts that leave a partial group of 1-7, and reduced dims
+      // outside the run (several runs per output).
+      {{10, 16, 6, 6}, {10, 16, 1, 1}},            // InstanceNorm after the first pool
+      {{13, 5, 11}, {13, 5, 1}},
+      {{3, 17}, {3, 1}},
+      {{7, 9, 1}, {7, 1, 1}},
+      {{1, 1}, {1, 1}},
+      {{6, 13, 3, 7}, {1, 13, 1, 1}},              // batch and run reduced: conv-bias style
+      {{4, 11, 5, 9}, {4, 1, 5, 1}},               // reduced dim outside the run, then kept
+      {{2, 3, 19, 2, 5}, {1, 3, 1, 2, 1}},
   };
   for (const auto& [from, to] : cases) {
     const Tensor a = values(from, rng);

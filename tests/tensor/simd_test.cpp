@@ -7,6 +7,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <bit>
 #include <cmath>
 #include <cstdint>
@@ -317,6 +318,275 @@ TEST(SimdParity, MatmulTileMatchesBitwise) {
     k->gemm4x8(c.data(), 8, a.data(), 1, 4, b.data(), 5, 1, false);
     EXPECT_EQ(c[0], want) << k->name;
     EXPECT_EQ(std::bit_cast<std::uint32_t>(c[9]), 0u) << k->name << ": starts from +0";
+  }
+}
+
+// ---------------------------------------------------------------------------
+// The memory-bound tensor kernels: fill, sqrt, the eight-chain row sums,
+// im2col's plane, col2im's shifted add and the 2x2 pool pair. Every length
+// 0-33 (the four- and eight-lane steps and their ragged ends), outputs and
+// inputs off their allocation's alignment, and guard floats on both sides
+// of every output that must come back untouched.
+// ---------------------------------------------------------------------------
+
+/// Bit patterns of the IEEE edge cases: signed zeros, infinities, quiet and
+/// signaling NaNs with payloads (both signs), subnormals, and extremes.
+const std::uint32_t kEdgeBits[] = {0x00000000u, 0x80000000u, 0x7f800000u, 0xff800000u,
+                                   0x7fc00000u, 0xffc00001u, 0x7fa12345u, 0xff812345u,
+                                   0x00000001u, 0x807fffffu, 0x00400000u, 0x7f7fffffu,
+                                   0xff7fffffu, 0x00800000u};
+
+bool finite_bits(std::uint32_t b) { return (b & 0x7f800000u) != 0x7f800000u; }
+
+/// n values; every `every`-th one an edge case. With `finite_only` the
+/// infinities and NaNs are skipped, so a sum chain meets at most the ones
+/// the caller places itself.
+std::vector<float> edge_values(std::int64_t n, std::int64_t every, bool finite_only,
+                               std::int64_t phase = 0) {
+  std::vector<float> v = synth_buffer(n, 0.125f * static_cast<float>(phase));
+  std::size_t pick = static_cast<std::size_t>(phase);
+  for (std::int64_t i = phase % every; i < n; i += every) {
+    std::uint32_t b = kEdgeBits[pick++ % std::size(kEdgeBits)];
+    while (finite_only && !finite_bits(b)) b = kEdgeBits[pick++ % std::size(kEdgeBits)];
+    v[static_cast<std::size_t>(i)] = std::bit_cast<float>(b);
+  }
+  return v;
+}
+
+constexpr float kGuard = 1234.5f;
+constexpr std::size_t kGuardFloats = 9;
+
+/// An output buffer of n floats with kGuardFloats guard floats before and
+/// after it. The odd guard count starts the output off the allocation's
+/// 16-byte alignment.
+struct Guarded {
+  std::vector<float> buf;
+  explicit Guarded(std::int64_t n, float init = 0.0f)
+      : buf(static_cast<std::size_t>(n) + 2 * kGuardFloats, kGuard) {
+    std::fill(data(), data() + n, init);
+  }
+  float* data() { return buf.data() + kGuardFloats; }
+  std::vector<float> out(std::int64_t n) { return {data(), data() + n}; }
+  void expect_guards(std::int64_t n, const char* what) {
+    for (std::size_t i = 0; i < buf.size(); ++i) {
+      if (i >= kGuardFloats && i < kGuardFloats + static_cast<std::size_t>(n)) continue;
+      ASSERT_EQ(buf[i], kGuard) << what << " wrote outside its output at " << i;
+    }
+  }
+};
+
+std::vector<const Kernels*> both_tables() {
+  std::vector<const Kernels*> tables = {&quickdrop::simd::scalar_kernels()};
+  if (avx2_usable()) tables.push_back(&quickdrop::simd::avx2_kernels());
+  return tables;
+}
+
+TEST(SimdParity, FillWritesExactlyItsRun) {
+  for (std::int64_t n = 0; n <= 33; ++n) {
+    for (const std::uint32_t bits : kEdgeBits) {
+      const float v = std::bit_cast<float>(bits);
+      for (const Kernels* k : both_tables()) {
+        Guarded o(n);
+        k->fill(o.data(), v, n);
+        o.expect_guards(n, k->name);
+        for (std::int64_t i = 0; i < n; ++i) {
+          ASSERT_EQ(std::bit_cast<std::uint32_t>(o.data()[i]), bits) << k->name << " n " << n;
+        }
+      }
+    }
+  }
+}
+
+TEST(SimdParity, SqrtMatchesTheScalarCallBitwise) {
+  // Negative inputs give the default NaN; NaN inputs come back quieted with
+  // their payload; subnormals and zeros keep their sign.
+  for (std::int64_t n = 0; n <= 33; ++n) {
+    std::vector<float> a = edge_values(n + 1, 2, false, n);
+    for (std::int64_t i = 1; i < n + 1; i += 5) a[static_cast<std::size_t>(i)] = -2.5f;
+    std::vector<float> want(static_cast<std::size_t>(n));
+    for (std::int64_t i = 0; i < n; ++i) {
+      want[static_cast<std::size_t>(i)] = std::sqrt(a[static_cast<std::size_t>(i + 1)]);
+    }
+    for (const Kernels* k : both_tables()) {
+      Guarded o(n);
+      k->sqrt(o.data(), a.data() + 1, n);  // unaligned input
+      o.expect_guards(n, k->name);
+      expect_bitwise_equal(o.out(n), want, k->name);
+    }
+  }
+}
+
+TEST(SimdParity, SumRows8KeepsEachChainSerial) {
+  if (!avx2_usable()) GTEST_SKIP() << "AVX2 not available";
+  const Kernels& s = quickdrop::simd::scalar_kernels();
+  const Kernels& v = quickdrop::simd::avx2_kernels();
+  for (std::int64_t n = 0; n <= 33; ++n) {
+    // Eight rows at unrelated (and unaligned) offsets of one buffer; finite
+    // edge cases throughout, and one infinity or NaN in some rows, so every
+    // chain meets at most one non-finite value.
+    std::vector<float> buf = edge_values(8 * (n + 3), 3, true, n);
+    const float* rows[8];
+    for (int g = 0; g < 8; ++g) {
+      const std::int64_t at = g * (n + 3) + 1 + g % 3;
+      rows[g] = buf.data() + at;
+      if (g % 2 == 1 && n > 0) {
+        buf[static_cast<std::size_t>(at + (g * 7) % n)] =
+            std::bit_cast<float>(kEdgeBits[2 + g % 6]);  // ±inf and NaNs
+      }
+    }
+    for (const float start : {0.0f, -0.0f, 3.5f}) {
+      float as[8], av[8];
+      for (int g = 0; g < 8; ++g) as[g] = av[g] = g == 5 ? 1.0e-40f : start;
+      s.sum_rows8(as, rows, n);
+      v.sum_rows8(av, rows, n);
+      expect_bitwise_equal(std::vector<float>(as, as + 8), std::vector<float>(av, av + 8),
+                           "sum_rows8");
+    }
+  }
+  // The chain itself: +0, then left to right, so the large terms cancel
+  // before the small one is added.
+  const float row[] = {1.0e8f, 1.0f, -1.0e8f, 1.0f, 0.5f, 0.25f, 0.0f, 0.0f, 0.0f, 2.0f};
+  const float* rows[8];
+  for (auto& r : rows) r = row;
+  const float want = ((((((((((0.0f + 1.0e8f) + 1.0f) + -1.0e8f) + 1.0f) + 0.5f) + 0.25f) +
+                         0.0f) + 0.0f) + 0.0f) + 2.0f);
+  for (const Kernels* k : both_tables()) {
+    float acc[8] = {};
+    k->sum_rows8(acc, rows, 10);
+    for (const float a : acc) EXPECT_EQ(a, want) << k->name;
+  }
+}
+
+/// Convolution geometries over image widths 1-33: kernel sizes 1, 3 and 5,
+/// padding 0-2 (so grids narrower than, as wide as and wider than the
+/// image), strides 1 and 2.
+std::vector<quickdrop::simd::ConvGeometry> conv_geometries() {
+  std::vector<quickdrop::simd::ConvGeometry> out;
+  for (std::int64_t w = 1; w <= 33; ++w) {
+    for (const std::int64_t k : {1, 3, 5}) {
+      for (const std::int64_t pad : {0, 1, 2}) {
+        for (const std::int64_t stride : {1, 2}) {
+          const std::int64_t h = 1 + (w * 7 + k) % 5;
+          if (h + 2 * pad < k || w + 2 * pad < k) continue;
+          out.push_back({.h = h,
+                         .w = w,
+                         .k = k,
+                         .pad = pad,
+                         .stride = stride,
+                         .oh = (h + 2 * pad - k) / stride + 1,
+                         .ow = (w + 2 * pad - k) / stride + 1});
+        }
+      }
+    }
+  }
+  return out;
+}
+
+TEST(SimdParity, Im2ColRowWritesImageAndPadding) {
+  if (!avx2_usable()) GTEST_SKIP() << "AVX2 not available";
+  const Kernels& s = quickdrop::simd::scalar_kernels();
+  const Kernels& v = quickdrop::simd::avx2_kernels();
+  for (const auto& g : conv_geometries()) {
+    const std::int64_t images = 2, plane = g.h * g.w + 3;  // planes 3 floats apart
+    const std::vector<float> x = edge_values(images * plane + 1, 3, false, g.w);
+    for (std::int64_t ki = 0; ki < g.k; ++ki) {
+      for (std::int64_t kj = 0; kj < g.k; ++kj) {
+        const std::int64_t len = images * g.oh * g.ow;
+        Guarded os(len, -7.0f), ov(len, -7.0f);
+        s.im2col_row(os.data(), x.data() + 1, images, plane, g, ki, kj);
+        v.im2col_row(ov.data(), x.data() + 1, images, plane, g, ki, kj);
+        os.expect_guards(len, "im2col_row scalar");
+        ov.expect_guards(len, "im2col_row avx2");
+        expect_bitwise_equal(os.out(len), ov.out(len), "im2col_row");
+        // Every grid position is written: the image's pixel or +0.
+        for (std::int64_t i = 0; i < len; ++i) ASSERT_NE(ov.data()[i], -7.0f) << i;
+      }
+    }
+  }
+}
+
+TEST(SimdParity, Col2ImPlaneSumsEachPixelFromZero) {
+  if (!avx2_usable()) GTEST_SKIP() << "AVX2 not available";
+  const Kernels& s = quickdrop::simd::scalar_kernels();
+  const Kernels& v = quickdrop::simd::avx2_kernels();
+  for (const auto& g : conv_geometries()) {
+    // The k*k offsets' grids, each 5 floats past the last; finite edge cases
+    // (signed zeros, subnormals, the largest magnitudes, whose sums overflow
+    // to infinities) and a sparse NaN payload.
+    const std::int64_t stride = g.oh * g.ow + 5;
+    std::vector<float> cols = edge_values(g.k * g.k * stride + 1, 3, true, g.w);
+    for (std::size_t i = 17; i < cols.size(); i += 97) cols[i] = std::bit_cast<float>(0x7fa12345u);
+    const std::int64_t len = g.h * g.w;
+    Guarded os(len, -7.0f), ov(len, -7.0f);
+    s.col2im_plane(os.data(), cols.data() + 1, stride, g);
+    v.col2im_plane(ov.data(), cols.data() + 1, stride, g);
+    os.expect_guards(len, "col2im_plane scalar");
+    ov.expect_guards(len, "col2im_plane avx2");
+    expect_bitwise_equal(os.out(len), ov.out(len), "col2im_plane");
+  }
+  // The chain itself, on the centre pixel of a 3x3 image under a 3x3 pad-1
+  // kernel, which every offset reaches (offset (ki, kj) at grid position
+  // (2 - ki, 2 - kj)): +0, then the offsets in (ki, kj) order, so the large
+  // terms cancel before the small ones are added. All -0 columns give +0.
+  const quickdrop::simd::ConvGeometry g{.h = 3, .w = 3, .k = 3, .pad = 1, .stride = 1, .oh = 3,
+                                        .ow = 3};
+  const float terms[9] = {1.0e8f, 1.0f, -1.0e8f, 1.0f, 0.5f, 0.0f, 0.0f, 0.0f, 0.0f};
+  std::vector<float> cols(81, 0.0f);
+  for (int o = 0; o < 9; ++o) {
+    cols[static_cast<std::size_t>(o * 9 + (2 - o / 3) * 3 + 2 - o % 3)] = terms[o];
+  }
+  const float want = ((((0.0f + 1.0e8f) + 1.0f) + -1.0e8f) + 1.0f) + 0.5f;
+  const std::vector<float> negzero(81, -0.0f);
+  for (const Kernels* k : both_tables()) {
+    float img[9];
+    k->col2im_plane(img, cols.data(), 9, g);
+    EXPECT_EQ(img[4], want) << k->name;
+    k->col2im_plane(img, negzero.data(), 9, g);
+    for (const float p : img) EXPECT_EQ(std::bit_cast<std::uint32_t>(p), 0u) << k->name;
+  }
+}
+
+TEST(SimdParity, PoolPairMatchesBitwise) {
+  if (!avx2_usable()) GTEST_SKIP() << "AVX2 not available";
+  const Kernels& s = quickdrop::simd::scalar_kernels();
+  const Kernels& v = quickdrop::simd::avx2_kernels();
+  for (std::int64_t ow = 0; ow <= 33; ++ow) {
+    for (const std::int64_t k : {1, 2, 3}) {
+      for (const std::int64_t rows : {1, 3}) {
+        const std::int64_t w = ow * k, in = rows * k * w, out = rows * ow;
+        // Finite edge cases anywhere, and an infinity or NaN only at each
+        // window's top-left input, so every window's chain meets at most one.
+        std::vector<float> x = edge_values(in + 1, 3, true, ow);
+        for (std::int64_t r = 0; r < rows; ++r) {
+          for (std::int64_t j = 0; j < ow; j += 3) {
+            x[static_cast<std::size_t>(1 + r * k * w + j * k)] =
+                std::bit_cast<float>(kEdgeBits[2 + (r + j) % 6]);
+          }
+        }
+        Guarded ps(out), pv(out);
+        s.sum_pool(ps.data(), x.data() + 1, rows, ow, k);
+        v.sum_pool(pv.data(), x.data() + 1, rows, ow, k);
+        ps.expect_guards(out, "sum_pool scalar");
+        pv.expect_guards(out, "sum_pool avx2");
+        expect_bitwise_equal(ps.out(out), pv.out(out), "sum_pool");
+
+        const std::vector<float> g = edge_values(out + 1, 2, false, k);
+        Guarded ss(in), sv(in);
+        s.spread_pool(ss.data(), g.data() + 1, rows, ow, k);
+        v.spread_pool(sv.data(), g.data() + 1, rows, ow, k);
+        ss.expect_guards(in, "spread_pool scalar");
+        sv.expect_guards(in, "spread_pool avx2");
+        expect_bitwise_equal(ss.out(in), sv.out(in), "spread_pool");
+      }
+    }
+  }
+  // A window sums from +0: four -0 inputs give +0.
+  const float zeros[8] = {-0.0f, -0.0f, -0.0f, -0.0f, -0.0f, -0.0f, -0.0f, -0.0f};
+  for (const Kernels* k : both_tables()) {
+    float o[2] = {9.0f, 9.0f};
+    k->sum_pool(o, zeros, 1, 2, 2);
+    EXPECT_EQ(std::bit_cast<std::uint32_t>(o[0]), 0u) << k->name;
+    EXPECT_EQ(std::bit_cast<std::uint32_t>(o[1]), 0u) << k->name;
   }
 }
 
